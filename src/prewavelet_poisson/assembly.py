@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GridIndex, n_interior
+from .mesh import GridIndex
 
 _REFINE_STENCIL = {
     (0, 0): 1.0,
@@ -136,8 +136,3 @@ def cross_level_gram(j: int) -> sp.csr_matrix:
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
     return _stencil_matrix(j, j + 1, _GRAM_STENCIL)
-
-
-def interior_count(j: int) -> int:
-    """Alias of :func:`.mesh.n_interior` for callers working with matrices."""
-    return n_interior(j)

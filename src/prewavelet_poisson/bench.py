@@ -11,7 +11,6 @@ in the timing and error fields rather than aborting the sweep.
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import math
 import statistics
@@ -284,14 +283,11 @@ def run_benchmark(
     tolerances: tuple[float, ...] = (),
     repetitions: int = 3,
     rule: quadrature.TriangleRule = quadrature.MID3,
-    parallel: bool = False,
 ) -> list[BenchRecord]:
-    """Time every combination and return one record each.
+    """Time every combination, one after another, and return one record each.
 
     Combinations are problems x levels x methods x solver settings, where
-    direct contributes one setting and cg one per tolerance.  Sequential by
-    default; ``parallel`` fans combinations out to a thread pool, which is
-    useful for correctness sweeps but makes timings meaningless.
+    direct contributes one setting and cg one per tolerance.
     """
     if problems is None:
         problems = list(builtin_problems().values())
@@ -319,18 +315,10 @@ def run_benchmark(
             raise ValueError(f"method must be one of {sorted(_PASSES)}, got {m!r}")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
-    if parallel:
-        with concurrent.futures.ThreadPoolExecutor() as pool:
-            futures = [
-                pool.submit(_run_combo, p, level, m, s, t, rule, repetitions)
-                for (p, level, m, s, t) in combos
-            ]
-            records = [f.result() for f in futures]
-    else:
-        records = [
-            _run_combo(p, level, m, s, t, rule, repetitions)
-            for (p, level, m, s, t) in combos
-        ]
+    records = [
+        _run_combo(p, level, m, s, t, rule, repetitions)
+        for (p, level, m, s, t) in combos
+    ]
     _clear_caches()
     return records
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -55,6 +56,22 @@ def _rule(name: str) -> quadrature.TriangleRule:
     return quadrature.RULES[name]
 
 
+def _corner_values(corners) -> tuple[float, ...]:
+    """The ``corners`` entry of a problem file as four finite floats."""
+    if (
+        isinstance(corners, list)
+        and len(corners) == 4
+        and all(type(c) in (int, float) for c in corners)  # JSON numbers, not booleans
+    ):
+        try:
+            values = tuple(float(c) for c in corners)
+        except OverflowError:  # an integer beyond the float range
+            values = (math.inf,)
+        if all(math.isfinite(v) for v in values):
+            return values
+    raise _ConfigError(f"corners must be four finite numbers [a1, a2, a3, a4], got {corners!r}")
+
+
 def _load_problem_file(path: str):
     """Problem file: JSON with name, optional corner values, and a rhs.
 
@@ -74,10 +91,7 @@ def _load_problem_file(path: str):
     if not isinstance(doc, dict):
         raise _ConfigError(f"problem file {path} must hold a JSON object")
     name = doc.get("name", os.path.basename(path))
-    corners = doc.get("corners", [0.0, 0.0, 0.0, 0.0])
-    if len(corners) != 4:
-        raise _ConfigError("corners must be four numbers [a1, a2, a3, a4]")
-    a1, a2, a3, a4 = (float(c) for c in corners)
+    a1, a2, a3, a4 = _corner_values(doc.get("corners", [0.0, 0.0, 0.0, 0.0]))
     rhs = doc.get("rhs")
     builtins = bench.builtin_problems()
     if isinstance(rhs, str):
@@ -89,7 +103,7 @@ def _load_problem_file(path: str):
     elif isinstance(rhs, dict) and "values" in rhs:
         try:
             g = quadrature.TabulatedFunction(rhs["values"])
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise _ConfigError(f"bad tabulated rhs in {path}: {exc}") from exc
     else:
         raise _ConfigError(
@@ -131,6 +145,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
     if lift is not None:
         coeffs = reconstruct(level, coeffs, lift)
+    if not np.all(np.isfinite(coeffs)):
+        print("numerical failure: the solution has non-finite values", file=sys.stderr)
+        return NUMERICAL_FAILURE
     solver.export_solution_csv(args.out, level, coeffs)
 
     summary = (

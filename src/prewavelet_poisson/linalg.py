@@ -1,11 +1,14 @@
 """Direct and iterative solvers for the symmetric positive definite systems.
 
 Both Galerkin systems solved in this package are SPD: the hat-basis
-stiffness matrix (narrow band in row-major ordering) and the detail Gram
-matrix (sparse apart from one globally supported row).  ``cholesky_solve``
-picks banded or dense Cholesky accordingly; ``cg_solve`` is a stock
-conjugate gradient with a relative-residual stopping rule, starting from
-zero, with an optional diagonal preconditioner.
+stiffness matrix (five-point pattern) and the detail Gram matrix (sparse
+apart from one globally supported row, which gives it a bandwidth of nearly
+its size).  ``cholesky_solve`` factors either one the same way: a sparse
+symmetric ``P A P^T = L D L^T`` factorization (SuperLU with a minimum-degree
+ordering of ``A + A^T`` and diagonal pivots only), whose fill follows the
+sparsity rather than the bandwidth.  ``cg_solve`` is a stock conjugate
+gradient with a relative-residual stopping rule, starting from zero, with
+an optional diagonal preconditioner.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 
 class NotPositiveDefiniteError(Exception):
@@ -59,44 +62,52 @@ def _check_system(a: sp.csr_matrix, b: np.ndarray) -> None:
 
 
 class CholeskyFactor:
-    """Reusable Cholesky factorization with banded/dense dispatch."""
+    """Reusable sparse symmetric factorization ``P A P^T = L D L^T``.
+
+    SuperLU factors ``A`` in symmetric mode: one fill-reducing
+    minimum-degree ordering of ``A + A^T`` applied to rows and columns alike,
+    and the diagonal entry always taken as pivot.  ``U`` is then ``D L^T``,
+    so ``A`` is positive definite exactly when the row and column orders
+    agree and every diagonal entry of ``U`` is positive; anything else
+    raises NotPositiveDefiniteError, as does an exactly singular factor.
+    """
 
     def __init__(self, a) -> None:
         a = _as_csr(a)
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
         self.n = a.shape[0]
-        coo = a.tocoo()
-        bw = int(np.max(np.abs(coo.row - coo.col))) if coo.nnz else 0
         try:
-            if bw + 1 <= max(8, self.n // 4):
-                band = np.zeros((bw + 1, self.n))
-                upper = coo.col >= coo.row
-                band[bw + coo.row[upper] - coo.col[upper], coo.col[upper]] = coo.data[upper]
-                self._banded = scipy.linalg.cholesky_banded(band, check_finite=False)
-                self._dense = None
-            else:
-                self._banded = None
-                self._dense = scipy.linalg.cho_factor(a.toarray(), check_finite=False)
-        except np.linalg.LinAlgError as exc:
+            self._lu = spla.splu(
+                a.tocsc(),
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise NotPositiveDefiniteError(str(exc)) from exc
+        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+            raise NotPositiveDefiniteError("a zero diagonal pivot forced a row interchange")
+        pivots = self._lu.U.diagonal()
+        if not np.all(pivots > 0.0):
+            worst = float(np.min(pivots))
+            raise NotPositiveDefiniteError(f"non-positive pivot {worst:.3g} in L D L^T")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"right-hand side length {b.shape} does not match size {self.n}")
-        if self._banded is not None:
-            return scipy.linalg.cho_solve_banded((self._banded, False), b, check_finite=False)
-        return scipy.linalg.cho_solve(self._dense, b, check_finite=False)
+        return self._lu.solve(b)
 
 
 def cholesky_solve(a, b) -> tuple[np.ndarray, SolverReport]:
-    """Solve a SPD system by Cholesky factorization.
+    """Solve a SPD system through :class:`CholeskyFactor`.
 
-    Banded systems go through the banded factorization in natural ordering;
-    anything without a usable band (the detail Gram has one dense row) is
-    factored densely.  Raises NotPositiveDefiniteError on a pivot failure
-    and ValueError on shape or symmetry violations.
+    Every system takes the one sparse symmetric factorization; the
+    fill-reducing ordering keeps the detail Gram's globally supported row
+    from filling the factor in.  Raises NotPositiveDefiniteError on a
+    non-positive or zero pivot and ValueError on shape or symmetry
+    violations.
     """
     a = _as_csr(a)
     b = np.asarray(b, dtype=float)

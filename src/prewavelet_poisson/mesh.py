@@ -114,6 +114,13 @@ def _cell_triangles(j: int, cx: int, cy: int) -> tuple[Triangle, Triangle]:
     return lo, up
 
 
+#: Vertex offsets from the lower-left cell corner of the lower and the upper
+#: triangle of a cell, in the vertex order of :func:`_cell_triangles`.
+_CELL_OFFSETS = np.array(
+    [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]], dtype=np.int64
+)
+
+
 @lru_cache(maxsize=None)
 def triangles(j: int) -> tuple[Triangle, ...]:
     """All ``2 * 4^j`` triangles of level ``j``, cells row-major, lower first."""
@@ -146,9 +153,14 @@ def triangle_vertex_array(j: int) -> np.ndarray:
     """Vertices of ``triangles(j)`` as an int array of shape (T, 3, 2).
 
     Bulk companion of :func:`triangles` for vectorized quadrature and
-    error evaluation; same triangle order.
+    error evaluation; same triangle order, built from the cell indices
+    without creating the :class:`Triangle` objects.
     """
-    arr = np.array([t.verts for t in triangles(j)], dtype=np.int64)
+    if j < 1:
+        raise ValueError(f"level must be >= 1, got {j}")
+    cy, cx = np.divmod(np.arange(4**j, dtype=np.int64), 2**j)
+    corners = np.stack([cx, cy], axis=-1)  # (C, 2), cells row-major
+    arr = (corners[:, None, None, :] + _CELL_OFFSETS).reshape(-1, 3, 2)
     arr.setflags(write=False)
     return arr
 

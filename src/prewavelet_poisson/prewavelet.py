@@ -62,33 +62,22 @@ class WaveletSpec:
         return min(ii), max(ii), min(kk), max(kk)
 
 
+#: Fine-grid stencils of the five families as (di, dk, value) offsets from
+#: the fine image ``(2i, 2k)`` of the coarse position; the edge families sit
+#: at ``i == 0`` (family 1) and ``k == 0`` (family 2).
+_FAMILY_STENCILS = {
+    1: ((1, 0, 2.0), (1, 1, 1.0)),
+    2: ((0, 1, 2.0), (1, 1, 1.0)),
+    3: ((0, 0, -1.0), (1, 0, 1.0), (0, 1, 1.0), (1, 1, 1.0)),
+    4: ((-1, -1, 1.0), (0, -1, 1.0), (-1, 0, 1.0), (0, 0, -1.0)),
+    5: ((-1, 0, 1.0), (0, 1, 1.0), (0, -1, -1.0), (1, 0, -1.0)),
+}
+
+
 def _family_stencil(family: int, i: int, k: int) -> dict[tuple[int, int], float]:
-    if family == 1:
-        return {(1, 2 * k): 2.0, (1, 2 * k + 1): 1.0}
-    if family == 2:
-        return {(2 * i, 1): 2.0, (2 * i + 1, 1): 1.0}
-    if family == 3:
-        return {
-            (2 * i, 2 * k): -1.0,
-            (2 * i + 1, 2 * k): 1.0,
-            (2 * i, 2 * k + 1): 1.0,
-            (2 * i + 1, 2 * k + 1): 1.0,
-        }
-    if family == 4:
-        return {
-            (2 * i - 1, 2 * k - 1): 1.0,
-            (2 * i, 2 * k - 1): 1.0,
-            (2 * i - 1, 2 * k): 1.0,
-            (2 * i, 2 * k): -1.0,
-        }
-    if family == 5:
-        return {
-            (2 * i - 1, 2 * k): 1.0,
-            (2 * i, 2 * k + 1): 1.0,
-            (2 * i, 2 * k - 1): -1.0,
-            (2 * i + 1, 2 * k): -1.0,
-        }
-    raise ValueError(f"family must be 1..5, got {family}")
+    if family not in _FAMILY_STENCILS:
+        raise ValueError(f"family must be 1..5, got {family}")
+    return {(2 * i + di, 2 * k + dk): v for di, dk, v in _FAMILY_STENCILS[family]}
 
 
 def interior_wavelet(family: int, j: int, i: int, k: int) -> WaveletSpec:
@@ -123,18 +112,23 @@ def interior_wavelet(family: int, j: int, i: int, k: int) -> WaveletSpec:
     return WaveletSpec(j, FAMILY_NAMES[family], (i, k), _family_stencil(family, i, k))
 
 
+def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(family, i, k) position arrays of every closed-form wavelet at level
+    ``j``: families in order, positions row-major (k outer, i inner)."""
+    top = 2**j - 2
+    edge = np.arange(1, top + 1)
+    k, i = np.divmod(np.arange(top * top), top)
+    out = [(1, np.zeros_like(edge), edge), (2, edge, np.zeros_like(edge))]
+    return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
+
+
 def closed_form_wavelets(j: int) -> list[WaveletSpec]:
     """All admissible family-1..5 wavelets, families in order, positions row-major."""
-    top = 2**j - 2
-    out = [interior_wavelet(1, j, 0, k) for k in range(1, top + 1)]
-    out += [interior_wavelet(2, j, i, 0) for i in range(1, top + 1)]
-    for family in (3, 4, 5):
-        out += [
-            interior_wavelet(family, j, i, k)
-            for k in range(1, top + 1)
-            for i in range(1, top + 1)
-        ]
-    return out
+    return [
+        interior_wavelet(family, j, int(i), int(k))
+        for family, ii, kk in _family_positions(j)
+        for i, k in zip(ii, kk)
+    ]
 
 
 def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):
@@ -165,9 +159,10 @@ def _rref(a: np.ndarray) -> list[tuple[int, int]]:
         if p != r:
             a[[r, p]] = a[[p, r]]
         a[r] /= a[r, c]
-        col = a[:, c].copy()
-        col[r] = 0.0
-        a -= np.outer(col, a[r])
+        # rows with a zero in column c would only subtract zeros
+        hit = np.nonzero(a[:, c])[0]
+        hit = hit[hit != r]
+        a[hit] -= np.outer(a[hit, c], a[r])
         pivots.append((r, c))
         r += 1
     return pivots
@@ -177,42 +172,37 @@ def _strip_candidates(j: int) -> tuple[list[tuple[int, int]], list[np.ndarray], 
     """Nullspace basis of the orthogonality constraints, restricted near the strip.
 
     Returns (column pairs, one dense candidate per free column in scan
-    order, free column pairs).  For j >= 5 elimination is restricted to the
-    fine band i >= 2^{j+1}-4 or k >= 2^{j+1}-4 together with the coarse
-    rows that touch it; every other constraint row has no support on the
-    band, so band-supported nullspace vectors satisfy it automatically.
+    order, free column pairs).  Elimination is restricted to the fine band
+    i >= 2^{j+1}-4 or k >= 2^{j+1}-4 together with the coarse rows that
+    touch it; every other constraint row has no support on the band, so
+    band-supported nullspace vectors satisfy it automatically.
     """
     con = assembly.cross_level_gram(j)
     n_fine = 2 ** (j + 1) - 1
-    if j < 5:
-        pairs = [(i, k) for k in range(1, n_fine + 1) for i in range(1, n_fine + 1)]
-        rows = np.arange(con.shape[0])
-    else:
-        lo = 2 ** (j + 1) - 4
-        pairs = [
-            (i, k)
-            for k in range(1, n_fine + 1)
-            for i in range(1, n_fine + 1)
-            if i >= lo or k >= lo
-        ]
-        cols = _fine_linear(j, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-        touch = np.asarray((con[:, cols] != 0).sum(axis=1)).ravel() > 0
-        rows = np.nonzero(touch)[0]
+    lo = 2 ** (j + 1) - 4
+    pairs = [
+        (i, k)
+        for k in range(1, n_fine + 1)
+        for i in range(1, n_fine + 1)
+        if i >= lo or k >= lo
+    ]
+    cols = _fine_linear(j, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
+    touch = np.asarray((con[:, cols] != 0).sum(axis=1)).ravel() > 0
+    rows = np.nonzero(touch)[0]
     pairs = _descending_columns(j, pairs)
     cols = _fine_linear(j, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
     a = np.asarray(con[rows][:, cols].todense(), dtype=float)
     pivots = _rref(a)
-    pivot_cols = {c for _, c in pivots}
+    pivot_rows = np.array([r for r, _ in pivots], dtype=int)
+    pivot_cols = np.array([c for _, c in pivots], dtype=int)
     candidates: list[np.ndarray] = []
     free_pairs: list[tuple[int, int]] = []
-    for f in range(len(pairs)):
-        if f in pivot_cols:
-            continue
+    for f in np.setdiff1d(np.arange(len(pairs)), pivot_cols):
         v = np.zeros(len(pairs))
         v[f] = 1.0
-        for r, c in pivots:
-            if a[r, f] != 0.0:
-                v[c] = -a[r, f]
+        coef = a[pivot_rows, f]
+        nz = coef != 0.0
+        v[pivot_cols[nz]] = -coef[nz]
         candidates.append(v)
         free_pairs.append(pairs[f])
     return pairs, candidates, free_pairs
@@ -255,8 +245,8 @@ def strip_wavelets(j: int) -> list[WaveletSpec]:
         ech[rank] = proj / proj[p]
         piv_idx[rank] = p
         # keep earlier rows reduced so the update above stays a single product
-        if rank:
-            ech[:rank] -= np.outer(ech[:rank, p], ech[rank])
+        hit = np.nonzero(ech[:rank, p])[0]
+        ech[hit] -= np.outer(ech[hit, p], ech[rank])
         rank += 1
         stencil = {
             pairs[c]: float(v[c]) for c in np.nonzero(np.abs(v) > _PRUNE_TOL)[0]
@@ -317,17 +307,30 @@ def wavelet_matrix(j: int) -> sp.csr_matrix:
     """Stencil matrix of the detail basis, one wavelet per row.
 
     Shape is ``(N_{j+1} - N_j, N_{j+1})`` with rows ordered family 1,
-    family 2, families 3-5 row-major, then the strip completion.
+    family 2, families 3-5 row-major, then the strip completion.  The
+    closed-form rows come straight from the family offset table, one
+    array per stencil entry; only the strip rows pass through
+    :class:`WaveletSpec` stencils.
     """
-    basis = _basis(j)
-    n_fine = mesh.n_interior(j + 1)
     rows, cols, vals = [], [], []
-    for r, w in enumerate(basis):
-        for (i, k), v in sorted(w.stencil.items(), key=lambda e: (e[0][1], e[0][0])):
-            rows.append(r)
-            cols.append(_fine_linear(j, i, k))
-            vals.append(v)
-    mat = sp.coo_matrix((vals, (rows, cols)), shape=(len(basis), n_fine)).tocsr()
+    start = 0
+    for family, i, k in _family_positions(j):
+        ordinal = start + np.arange(len(i))
+        for di, dk, v in _FAMILY_STENCILS[family]:
+            rows.append(ordinal)
+            cols.append(_fine_linear(j, 2 * i + di, 2 * k + dk))
+            vals.append(np.full(len(i), v))
+        start += len(i)
+    strips = strip_wavelets(j)
+    for r, w in enumerate(strips, start):
+        pairs = np.array(list(w.stencil), dtype=np.int64)
+        rows.append(np.full(len(pairs), r))
+        cols.append(_fine_linear(j, pairs[:, 0], pairs[:, 1]))
+        vals.append(np.fromiter(w.stencil.values(), dtype=float, count=len(pairs)))
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(start + len(strips), mesh.n_interior(j + 1)),
+    ).tocsr()
     mat.sort_indices()
     return mat
 

@@ -142,9 +142,10 @@ class TabulatedFunction:
     """Piecewise-linear interpolant of nodal samples on a dyadic grid.
 
     values[iy, ix] holds the sample at (ix/2^m, iy/2^m) for a square array
-    of side 2^m + 1 (boundary samples included).  Evaluation interpolates
-    linearly on the Type-1 triangulation of the sample grid and accepts
-    scalars or arrays; points are clipped to the unit square.
+    of side 2^m + 1 (boundary samples included), all of them finite.
+    Evaluation interpolates linearly on the Type-1 triangulation of the
+    sample grid and accepts scalars or arrays; points are clipped to the
+    unit square.
     """
 
     def __init__(self, values) -> None:
@@ -154,6 +155,9 @@ class TabulatedFunction:
         side = values.shape[0] - 1
         if side < 1 or side & (side - 1):
             raise ValueError(f"grid side must be a power of two, got {side} cells")
+        bad = int(np.sum(~np.isfinite(values)))
+        if bad:
+            raise ValueError(f"values must be finite; {bad} samples are not")
         self.level = side.bit_length() - 1
         self.values = values
 

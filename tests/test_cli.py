@@ -108,6 +108,47 @@ def test_solve_problem_file_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _solve_file(tmp_path, doc):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    code = cli.main(["solve", "--level", "2", "--problem", str(path), "--out", str(out)])
+    return code, out
+
+
+def test_solve_rejects_non_finite_tabulated_rhs(tmp_path, capsys):
+    values = [[1.0] * 5 for _ in range(5)]
+    values[2][3] = float("nan")
+    code, out = _solve_file(tmp_path, {"name": "nan", "rhs": {"values": values}})
+    assert code == 2
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "corners",
+    (
+        "1.0", {"a1": 1.0}, 3.0, [1.0, "x", 0.0, 0.0], [1.0, None, 0.0, 0.0],
+        [True, 0, 0, 0], [float("inf"), 0, 0, 0], [10**400, 0, 0, 0],
+    ),
+)
+def test_solve_rejects_malformed_corners(tmp_path, capsys, corners):
+    code, out = _solve_file(tmp_path, {"name": "c", "corners": corners, "rhs": "poly"})
+    assert code == 2
+    assert not out.exists()
+    assert "corners" in capsys.readouterr().err
+
+
+def test_solve_reports_non_finite_solution(tmp_path, capsys):
+    # finite corner data whose bilinear lift overflows to inf - inf
+    corners = [1e308, -1e308, 1e308, -1e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _solve_file(tmp_path, {"name": "big", "corners": corners, "rhs": "poly"})
+    assert code == 3
+    assert not out.exists()
+    assert "non-finite" in capsys.readouterr().err
+
+
 def test_verify_passes(capsys):
     assert cli.main(["verify", "--level", "2"]) == 0
     out = capsys.readouterr().out

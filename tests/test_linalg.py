@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prewavelet_poisson import assembly, linalg, quadrature
+from prewavelet_poisson import assembly, linalg, prewavelet, quadrature
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -33,7 +33,7 @@ def _random_spd(n: int, seed: int) -> np.ndarray:
 
 
 def test_cholesky_dense_path_matches_oracle():
-    a = _random_spd(40, seed=0)  # dense couplings force the dense path
+    a = _random_spd(40, seed=0)  # fully coupled: the factor fills in completely
     b = np.arange(40, dtype=float)
     x, report = linalg.cholesky_solve(sp.csr_matrix(a), b)
     np.testing.assert_allclose(x, _gauss_solve(a, b), rtol=1e-10)
@@ -43,7 +43,7 @@ def test_cholesky_dense_path_matches_oracle():
 
 
 def test_cholesky_banded_path_matches_oracle():
-    # 1D Laplacian: bandwidth 1 on 200 unknowns takes the banded branch
+    # 1D Laplacian: bandwidth 1 on 200 unknowns, a factor with no fill
     n = 200
     main = 2.0 * np.ones(n)
     off = -1.0 * np.ones(n - 1)
@@ -64,6 +64,34 @@ def test_not_positive_definite_raises():
     a = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(linalg.NotPositiveDefiniteError):
         linalg.cholesky_solve(a, np.ones(2))
+
+
+def test_indefinite_matrix_with_permuting_ordering_raises():
+    # nonsingular but indefinite; shifting by 4 instead would make it singular
+    a = assembly.stiffness_matrix(3) - 3.0 * sp.eye(49)
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.CholeskyFactor(a)
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.cholesky_solve(a, np.ones(49))
+
+
+def test_singular_semidefinite_matrix_raises():
+    # 1D Neumann Laplacian: positive semidefinite, constants in the kernel
+    n = 50
+    main = 2.0 * np.ones(n)
+    main[[0, -1]] = 1.0
+    off = -1.0 * np.ones(n - 1)
+    a = sp.diags([off, main, off], (-1, 0, 1), format="csr")
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.CholeskyFactor(a)
+
+
+def test_factor_solves_detail_gram():
+    # one globally supported row gives this matrix a bandwidth of nearly n
+    a = prewavelet.wavelet_gram(5)
+    b = np.cos(np.arange(a.shape[0], dtype=float))
+    x = linalg.CholeskyFactor(a).solve(b)
+    assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-10
 
 
 def test_shape_and_symmetry_validation():

@@ -107,7 +107,7 @@ def test_hat_cardinal_values():
 
 
 def test_triangle_vertex_array_matches_triangles():
-    for j in (1, 2):
+    for j in (1, 2, 4):
         arr = mesh.triangle_vertex_array(j)
         tris = mesh.triangles(j)
         assert arr.shape == (len(tris), 3, 2)

@@ -5,6 +5,7 @@ rank checks then certify them against the assembled Gram matrix, which has
 its own independent oracle in test_assembly.
 """
 
+import hashlib
 import io
 
 import numpy as np
@@ -211,3 +212,38 @@ def test_dump_round_trip():
     assert [int(v) for v in header] == [c.shape[0], c.shape[1], c.nnz]
     rebuilt = prewavelet.read_wavelet_dump(io.StringIO(text))
     assert np.array_equal(rebuilt.toarray(), c.toarray())
+
+
+def _digest(mat) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(mat.indptr, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(mat.indices, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(mat.data, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+#: SHA-256 of (indptr, indices, data) as int64/int64/float64, frozen from
+#: the stencil-by-stencil build over WaveletSpec objects with the full-grid
+#: strip elimination below level 5.
+_WAVELET_MATRIX_SHA256 = {
+    1: "18dd719c967087150601ac2996d474a5de4b77c4cb8b5f524546c57676abe2ef",
+    2: "2bbe0bc887cef1e50bd567b19a2eb08501980081398c18ab30abb8092aa36f36",
+    3: "8ba73069263ba665737921e2ffbceae39ec651a675fa7ea85f7bf989241a53e9",
+    4: "9f4eaa33edab11923dd2a360bababb4e0c38a38d22974e8bbd5390bf357cf066",
+    5: "164280ca4b018d5c702d245ec9b6a2d7f996a32732a88dbf8fc15727f8080610",
+}
+
+
+@pytest.mark.parametrize("j", sorted(_WAVELET_MATRIX_SHA256))
+def test_wavelet_matrix_bits_frozen(j):
+    assert _digest(prewavelet.wavelet_matrix(j)) == _WAVELET_MATRIX_SHA256[j]
+
+
+@pytest.mark.parametrize("j", (1, 2, 3, 4))
+def test_wavelet_matrix_rows_are_the_basis_stencils(j):
+    basis = prewavelet.wavelet_basis(j)
+    ref = np.zeros((len(basis), mesh.n_interior(j + 1)))
+    for r, w in enumerate(basis):
+        for (fi, fk), v in w.stencil.items():
+            ref[r, mesh.linear_index(mesh.GridIndex(j + 1, fi, fk))] = v
+    assert np.array_equal(prewavelet.wavelet_matrix(j).toarray(), ref)
