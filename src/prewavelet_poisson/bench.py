@@ -4,9 +4,11 @@ Timed passes rebuild everything from scratch (caches cleared), separate
 assembly from solve time, and take medians over repetitions after one
 discarded warm-up pass.  The prewavelet method is timed cumulatively over
 its whole ladder, construction included, because that is how the
-multiresolution sweep is used; errors are measured afterwards, outside the
-timed region, with the degree-5 rule.  A failed solve is recorded with NaN
-in the timing and error fields rather than aborting the sweep.
+multiresolution sweep is used; its solve phase is the library's own
+``solver.multilevel_from_load`` and prolongation.  Errors are measured
+afterwards, outside the timed region, with the degree-5 rule.  A failed
+solve is recorded with NaN in the timing and error fields rather than
+aborting the sweep.
 """
 
 from __future__ import annotations
@@ -202,29 +204,14 @@ def _prewavelet_pass(problem, level, solver_name, tol, rule):
     _clear_caches()
     t0 = time.perf_counter()
     rhs = quadrature.load_vector(level, problem.g, rule)
-    loads = {level: rhs}
-    for j in range(level - 1, 0, -1):
-        loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
-    coarse_mat = assembly.stiffness_matrix(1)
-    detail_mats = [prewavelet.wavelet_gram(j) for j in range(1, level)]
-    detail_rhs = [prewavelet.wavelet_matrix(j) @ loads[j + 1] for j in range(1, level)]
-    t1 = time.perf_counter()
-
-    def solve(mat, b):
-        if solver_name == "direct":
-            return linalg.CholeskyFactor(mat).solve(b)
-        x, report = linalg.cg_solve(mat, b, tol=tol)
-        if not report.converged:
-            raise RuntimeError("cg did not converge")
-        return x
-
-    coeffs = solve(coarse_mat, loads[1])
+    # build the cached matrices here, so the solve phase is the ladder alone
+    assembly.stiffness_matrix(1)
     for j in range(1, level):
-        detail = solve(detail_mats[j - 1], detail_rhs[j - 1])
-        coeffs = (
-            assembly.refinement_matrix(j).T @ coeffs
-            + prewavelet.wavelet_matrix(j).T @ detail
-        )
+        assembly.refinement_matrix(j)
+        prewavelet.wavelet_matrix(j)
+        prewavelet.wavelet_gram(j)
+    t1 = time.perf_counter()
+    coeffs = solver.multilevel_from_load(level, rhs, solver=solver_name, tol=tol).prolong()
     t2 = time.perf_counter()
     return t1 - t0, t2 - t1, coeffs
 

@@ -228,10 +228,20 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return OK if ok else VERIFY_FAILED
 
 
+def _parse_list(flag: str, raw: str, convert) -> tuple:
+    """A comma-separated flag value, each item through ``convert``."""
+    try:
+        return tuple(convert(t) for t in raw.split(","))
+    except ValueError as exc:
+        raise _ConfigError(f"{flag} must be a comma-separated list, got {raw!r}: {exc}") from exc
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    levels = tuple(int(t) for t in args.levels.split(","))
+    levels = _parse_list("--levels", args.levels, int)
     for level in levels:
         _check_level(level)
+    if args.reps < 1:
+        raise _ConfigError(f"--reps must be >= 1, got {args.reps}")
     builtins = bench.builtin_problems()
     names = [t.strip() for t in args.problems.split(",")]
     unknown = [n for n in names if n not in builtins]
@@ -243,7 +253,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     methods = ("fem", "prewavelet") if args.method == "both" else (args.method,)
     tolerances = ()
     if args.solver == "cg":
-        tolerances = tuple(_check_tol(float(t)) for t in args.tolerances.split(","))
+        tolerances = tuple(
+            _check_tol(t) for t in _parse_list("--tolerances", args.tolerances, float)
+        )
     records = bench.run_benchmark(
         problems=problems,
         levels=levels,

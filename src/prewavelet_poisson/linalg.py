@@ -6,9 +6,10 @@ apart from one globally supported row, which gives it a bandwidth of nearly
 its size).  ``cholesky_solve`` factors either one the same way: a sparse
 symmetric ``P A P^T = L D L^T`` factorization (SuperLU with a minimum-degree
 ordering of ``A + A^T`` and diagonal pivots only), whose fill follows the
-sparsity rather than the bandwidth.  ``cg_solve`` is a stock conjugate
-gradient with a relative-residual stopping rule, starting from zero, with
-an optional diagonal preconditioner.
+sparsity rather than the bandwidth.  ``cg_solve`` is conjugate gradients
+from a zero start, always preconditioned with the inverse diagonal
+(Jacobi), which evens out the widely spread diagonal of the detail Gram's
+strip rows; it stops on the unpreconditioned relative residual.
 """
 
 from __future__ import annotations
@@ -125,11 +126,13 @@ def cg_solve(
     b,
     tol: float = 1e-10,
     max_iter: int | None = None,
-    diagonal_precondition: bool = False,
 ) -> tuple[np.ndarray, SolverReport]:
-    """Conjugate gradients from a zero start.
+    """Jacobi-preconditioned conjugate gradients from a zero start.
 
-    Stops once the recurrence residual satisfies ``||r|| <= tol * ||b||``
+    The preconditioner is the inverse of the diagonal of ``a``; a
+    non-positive diagonal entry proves ``a`` is not positive definite and
+    raises NotPositiveDefiniteError.  Iteration stops once the
+    unpreconditioned recurrence residual satisfies ``||r|| <= tol * ||b||``
     or after ``max_iter`` iterations (default ``10 n``).  Non-convergence
     is signalled through ``report.converged``; the partial iterate is still
     returned.  The report carries the true final residual.
@@ -147,14 +150,12 @@ def cg_solve(
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return x, SolverReport(0, 0.0, time.perf_counter() - start, True)
-    inv_diag = None
-    if diagonal_precondition:
-        d = a.diagonal()
-        if np.any(d <= 0):
-            raise NotPositiveDefiniteError("diagonal has non-positive entries")
-        inv_diag = 1.0 / d
+    d = a.diagonal()
+    if np.any(d <= 0):
+        raise NotPositiveDefiniteError("diagonal has non-positive entries")
+    inv_diag = 1.0 / d
     r = b.copy()
-    z = inv_diag * r if inv_diag is not None else r
+    z = inv_diag * r
     p = z.copy()
     rz = float(r @ z)
     converged = False
@@ -167,7 +168,7 @@ def cg_solve(
         if float(np.linalg.norm(r)) <= tol * bnorm:
             converged = True
             break
-        z = inv_diag * r if inv_diag is not None else r
+        z = inv_diag * r
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new

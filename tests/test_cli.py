@@ -184,3 +184,16 @@ def test_bench_stdout_and_file(tmp_path, capsys):
 def test_bench_rejects_unknown_problem(capsys):
     assert cli.main(["bench", "--levels", "2", "--problems", "zzz"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--reps", "0"],
+        ["--levels", "2,x"],
+        ["--solver", "cg", "--tolerances", "1e-8,x"],
+    ],
+)
+def test_bench_rejects_bad_flags(flags, capsys):
+    assert cli.main(["bench", "--levels", "2", "--problems", "sine", *flags]) == 2
+    assert "configuration error" in capsys.readouterr().err

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prewavelet_poisson import assembly, linalg, prewavelet, quadrature
+from prewavelet_poisson import assembly, bench, linalg, prewavelet, quadrature
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,10 +151,29 @@ def test_cg_tolerance_validation():
         linalg.cg_solve(a, np.ones(a.shape[0]), tol=2.0)
 
 
-def test_cg_diagonal_preconditioner_still_correct():
-    a = assembly.stiffness_matrix(3)
-    b = quadrature.load_vector(3, lambda x, y: x * y)
-    plain, _ = linalg.cg_solve(a, b, tol=1e-12)
-    pre, rep = linalg.cg_solve(a, b, tol=1e-12, diagonal_precondition=True)
-    assert rep.converged
-    np.testing.assert_allclose(pre, plain, rtol=1e-8, atol=1e-15)
+def test_cg_preconditioned_matches_cholesky_on_detail_gram():
+    # the detail Gram's diagonal is far from constant, so Jacobi changes the iterates
+    a = prewavelet.wavelet_gram(4)
+    d = a.diagonal()
+    assert d.max() > 10.0 * d.min()
+    b = np.cos(np.arange(a.shape[0], dtype=float))
+    x, report = linalg.cg_solve(a, b, tol=1e-12)
+    assert report.converged
+    direct, _ = linalg.cholesky_solve(a, b)
+    np.testing.assert_allclose(x, direct, rtol=1e-8)
+
+
+def test_cg_non_positive_diagonal_raises():
+    a = -assembly.stiffness_matrix(2)
+    with pytest.raises(linalg.NotPositiveDefiniteError):
+        linalg.cg_solve(a, np.ones(a.shape[0]))
+
+
+def test_cg_detail_iterations_at_level_five():
+    # plain CG needs about 1030 iterations here; Jacobi about 600
+    g = bench.builtin_problems()["sine"].g
+    a = prewavelet.wavelet_gram(5)
+    b = prewavelet.wavelet_matrix(5) @ quadrature.load_vector(6, g)
+    _, report = linalg.cg_solve(a, b, tol=1e-10)
+    assert report.converged
+    assert report.iterations <= 700

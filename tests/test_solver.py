@@ -182,6 +182,14 @@ def test_cg_solver_path_matches_direct():
         solver.fem_solve(2, g, solver="lu")
 
 
+def test_cg_ladder_matches_direct_fem():
+    g = bench.builtin_problems()["sine"].g
+    tol = 1e-10
+    direct = solver.fem_solve(5, g)
+    ladder = solver.multilevel_solve(5, g, solver="cg", tol=tol).prolong()
+    assert np.max(np.abs(ladder - direct)) / np.max(np.abs(direct)) <= 10 * tol
+
+
 def test_export_solution_csv():
     j = 2
     coeffs = np.arange(9, dtype=float) / 7.0
