@@ -342,13 +342,16 @@ def wavelet_gram(j: int) -> sp.csr_matrix:
     return (c @ assembly.stiffness_matrix(j + 1) @ c.T).tocsr()
 
 
-def verify_orthogonality(j: int) -> float:
+def verify_orthogonality(j: int, q: sp.csr_matrix | None = None) -> float:
     """Largest inner product between a coarse hat and a detail function.
 
     Exactly zero for the closed-form rows (their arithmetic is dyadic);
     bounded by elimination round-off, well under 1e-12, for the strip rows.
+    ``q`` replaces ``wavelet_matrix(j)`` as the detail rows to check.
     """
-    r = assembly.cross_level_gram(j) @ wavelet_matrix(j).T
+    if q is None:
+        q = wavelet_matrix(j)
+    r = assembly.cross_level_gram(j) @ q.T
     return float(np.max(np.abs(r.toarray()))) if r.nnz else 0.0
 
 

@@ -7,7 +7,13 @@ the classic 7-point degree-5 rule used for error measurement.
 
 A hat function restricted to one triangle of its support equals the
 barycentric coordinate of the supporting vertex, which is why load vectors
-below need nothing beyond the rule's barycentric point table.
+below need nothing beyond the rule's barycentric point table.  Because the
+level-``j`` triangulation is a uniform grid of congruent cells, every rule
+point of the lower (or upper) triangle sits at the same offset inside its
+cell: ``load_vector`` samples the source once per orientation and rule point
+on a ``2^j x 2^j`` grid of such points, weights the samples into one grid of
+contributions per triangle vertex, and adds each grid into the node array
+with one shifted slice.
 """
 
 from __future__ import annotations
@@ -95,31 +101,38 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     Entry ``m`` approximates the integral of ``g`` times the hat function of
     the interior vertex with ordinal ``m``: the six support triangles each
     contribute ``area * sum_q w_q g(x_q) lambda(x_q)`` with ``lambda`` the
-    barycentric coordinate of the vertex.  ``g`` must accept numpy arrays.
+    barycentric coordinate of the vertex.
+
+    The sum runs over cells rather than triangles.  For each triangle
+    orientation of :data:`mesh._CELL_OFFSETS` and each rule point, ``g`` is
+    called once with two ``(2^j, 2^j)`` arrays holding that point in every
+    cell, ``x[cy, cx] = (cx + px) 2^-j`` and ``y[cy, cx] = (cy + py) 2^-j``;
+    it may return an array of that shape or anything that broadcasts to it,
+    such as a scalar.  The weighted samples form one contribution grid per
+    triangle vertex, which lands on the ``(2^j + 1)^2`` node array shifted by
+    that vertex's offset; the interior of the node array, row-major, is the
+    result.
 
     For ``g == 1`` every entry is ``4^-j`` (the volume of a hat).
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
-    verts = mesh.triangle_vertex_array(j)  # (T, 3, 2)
-    h = 1.0 / 2**j
+    m = 2**j
+    h = 1.0 / m
+    cells = np.arange(m, dtype=float)
     pts = rule.point_array()  # (Q, 3)
-    wts = rule.weight_array()
-    # quadrature points of every triangle: (T, Q, 2)
-    xy = np.einsum("qb,tbd->tqd", pts, verts * h)
-    vals = _evaluate(g, xy[..., 0], xy[..., 1])  # (T, Q)
-    area = 0.5 / 4**j
-    # contribution of each triangle to each of its three vertices
-    contrib = area * (vals @ (wts[:, None] * pts))  # (T, 3)
-
-    n = 2**j - 1
-    ix = verts[..., 0]
-    iy = verts[..., 1]
-    interior = (ix >= 1) & (ix <= n) & (iy >= 1) & (iy <= n)
-    lin = (iy - 1) * n + (ix - 1)
-    out = np.zeros(n * n)
-    np.add.at(out, lin[interior], contrib[interior])
-    return out
+    # weight of point q's sample in the contribution to triangle vertex v
+    coef = (0.5 / 4**j) * rule.weight_array()[:, None] * pts  # (Q, 3)
+    full = np.zeros((m + 1, m + 1))
+    for offsets in mesh._CELL_OFFSETS:  # (3, 2) vertex offsets of one orientation
+        vals = np.empty((len(pts), m, m))
+        for q, (px, py) in enumerate(pts @ offsets):
+            x, y = np.meshgrid((cells + px) * h, (cells + py) * h)
+            vals[q] = _evaluate(g, x, y)
+        contrib = np.tensordot(coef, vals, axes=(0, 0))  # (3, m, m)
+        for (ox, oy), grid in zip(offsets, contrib):
+            full[oy : oy + m, ox : ox + m] += grid
+    return full[1:-1, 1:-1].ravel()
 
 
 def wavelet_load(j: int, fine_load: np.ndarray) -> np.ndarray:
@@ -145,7 +158,7 @@ class TabulatedFunction:
     of side 2^m + 1 (boundary samples included), all of them finite.
     Evaluation interpolates linearly on the Type-1 triangulation of the
     sample grid and accepts scalars or arrays; points are clipped to the
-    unit square.
+    unit square.  The samples are copied; ``values`` is read-only.
     """
 
     def __init__(self, values) -> None:
@@ -159,21 +172,28 @@ class TabulatedFunction:
         if bad:
             raise ValueError(f"values must be finite; {bad} samples are not")
         self.level = side.bit_length() - 1
-        self.values = values
+        # one repeated row and column, so a point on the edge x = 1 or y = 1
+        # starts a cell there at offset 0 and a node's sample comes back exact;
+        # ``values`` is a read-only view of this one copy, so the two agree
+        padded = np.pad(values, ((0, 1), (0, 1)), mode="edge")
+        padded.setflags(write=False)
+        self.values = padded[:-1, :-1]
+        self._flat = padded.ravel()
 
     def __call__(self, x, y):
         m = 2**self.level
         s = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * m
         t = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * m
-        cx = np.minimum(np.floor(s).astype(int), m - 1)
-        cy = np.minimum(np.floor(t).astype(int), m - 1)
+        cx = s.astype(np.intp)
+        cy = t.astype(np.intp)
         fx = s - cx
         fy = t - cy
-        v = self.values
-        v00 = v[cy, cx]
-        v10 = v[cy, cx + 1]
-        v01 = v[cy + 1, cx]
-        v11 = v[cy + 1, cx + 1]
-        lower = v00 * (1.0 - fx) + v10 * (fx - fy) + v11 * fy
-        upper = v00 * (1.0 - fy) + v01 * (fy - fx) + v11 * fx
-        return np.where(fx >= fy, lower, upper)
+        # v00 + (vmid - v00) max(fx, fy) + (v11 - vmid) min(fx, fy), with vmid
+        # the corner (cx+1, cy) below the diagonal and (cx, cy+1) above it
+        stride = m + 2
+        i00 = cy * stride + cx
+        below = fx >= fy
+        v00 = self._flat.take(i00)
+        vmid = self._flat.take(i00 + np.where(below, 1, stride))
+        v11 = self._flat.take(i00 + (stride + 1))
+        return v00 + (vmid - v00) * np.maximum(fx, fy) + (v11 - vmid) * np.minimum(fx, fy)

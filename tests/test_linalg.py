@@ -104,6 +104,12 @@ def test_shape_and_symmetry_validation():
         linalg.cholesky_solve(sp.csr_matrix(asym), np.ones(2))
 
 
+def test_cg_rejects_asymmetric_matrix():
+    asym = sp.csr_matrix(np.array([[4.0, 1.0], [0.0, 4.0]]))
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.cg_solve(asym, np.ones(2))
+
+
 def test_cg_matches_oracle():
     a = assembly.stiffness_matrix(3)
     b = quadrature.load_vector(3, lambda x, y: np.cos(x + y))

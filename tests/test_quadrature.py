@@ -135,3 +135,94 @@ def test_tabulated_function_validation():
         quadrature.TabulatedFunction(np.zeros((4, 4)))  # not 2^m + 1
     with pytest.raises(ValueError):
         quadrature.TabulatedFunction(np.zeros((5, 3)))  # not square
+
+
+def _smooth(x, y):
+    return np.exp(x) * np.cos(3.0 * y) + x * y
+
+
+def _oracle_load(j, g, rule):
+    # per-triangle quadrature of g times each interior vertex's hat, which
+    # equals that vertex's barycentric coordinate on the triangle
+    out = np.zeros(mesh.n_interior(j))
+    for t in mesh.triangles(j):
+        for i, k in t.verts:
+            if not (1 <= i < 2**j and 1 <= k < 2**j):
+                continue
+            v = mesh.GridIndex(j, i, k)
+            out[mesh.linear_index(v)] += quadrature.integrate(
+                t, lambda x, y: g(x, y) * mesh.hat_value(v, x, y), rule
+            )
+    return out
+
+
+@pytest.mark.parametrize("j", (1, 2, 3, 4))
+@pytest.mark.parametrize("rule", (quadrature.MID3, quadrature.GAUSS7), ids=("mid3", "gauss7"))
+@pytest.mark.parametrize("kind", ("smooth", "tabulated", "scalar"))
+def test_load_vector_matches_per_triangle_oracle(j, rule, kind):
+    if kind == "smooth":
+        g = _smooth
+    elif kind == "tabulated":
+        g = quadrature.TabulatedFunction(np.random.default_rng(j).uniform(-1, 1, (9, 9)))
+    else:
+        g = lambda x, y: 2.5  # a scalar, broadcast over every point
+    got = quadrature.load_vector(j, g, rule)
+    expect = _oracle_load(j, g, rule)
+    np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15 * np.max(np.abs(expect)))
+
+
+def _four_gather(tab, x, y):
+    # the previous evaluation formula: gather all four cell corners, then pick
+    # the lower or the upper triangle's interpolant
+    m = 2**tab.level
+    s = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * m
+    t = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * m
+    cx = np.minimum(np.floor(s).astype(int), m - 1)
+    cy = np.minimum(np.floor(t).astype(int), m - 1)
+    fx = s - cx
+    fy = t - cy
+    v = tab.values
+    v00 = v[cy, cx]
+    v10 = v[cy, cx + 1]
+    v01 = v[cy + 1, cx]
+    v11 = v[cy + 1, cx + 1]
+    lower = v00 * (1.0 - fx) + v10 * (fx - fy) + v11 * fy
+    upper = v00 * (1.0 - fy) + v01 * (fy - fx) + v11 * fx
+    return np.where(fx >= fy, lower, upper)
+
+
+def test_tabulated_function_is_exact_at_the_nodes():
+    values = np.random.default_rng(11).standard_normal((17, 17))
+    tab = quadrature.TabulatedFunction(values)
+    nodes = np.arange(17) / 16
+    x, y = np.meshgrid(nodes, nodes)
+    assert np.array_equal(tab(x, y), values)
+
+
+def test_tabulated_function_matches_four_gather_formula():
+    rng = np.random.default_rng(12)
+    tab = quadrature.TabulatedFunction(rng.uniform(-1, 1, (33, 33)))
+    x = rng.uniform(-0.3, 1.3, 20000)
+    y = rng.uniform(-0.3, 1.3, 20000)
+    # points on the cell diagonals, the cell edges and the sides of the square
+    edge = rng.integers(0, 33, 2000) / 32
+    x = np.concatenate([x, edge, edge, np.ones(2000), rng.uniform(0, 1, 2000)])
+    y = np.concatenate([y, edge, rng.uniform(0, 1, 2000), edge, np.ones(2000)])
+    np.testing.assert_allclose(tab(x, y), _four_gather(tab, x, y), rtol=1e-15, atol=1e-15)
+
+
+def test_tabulated_function_accepts_scalars():
+    tab = quadrature.TabulatedFunction(np.random.default_rng(13).uniform(-1, 1, (9, 9)))
+    got = tab(0.3, 0.71)
+    assert np.ndim(got) == 0
+    assert float(got) == pytest.approx(float(_four_gather(tab, 0.3, 0.71)), rel=1e-15)
+    assert float(tab(1.0, 1.0)) == tab.values[-1, -1]
+
+
+def test_tabulated_function_copies_its_samples():
+    values = np.zeros((5, 5))
+    tab = quadrature.TabulatedFunction(values)
+    values[2, 2] = 1.0
+    assert float(tab(0.5, 0.5)) == 0.0
+    with pytest.raises(ValueError):
+        tab.values[2, 2] = 1.0
