@@ -8,8 +8,9 @@ symmetric ``P A P^T = L D L^T`` factorization (SuperLU with a minimum-degree
 ordering of ``A + A^T`` and diagonal pivots only), whose fill follows the
 sparsity rather than the bandwidth.  ``cg_solve`` is conjugate gradients
 from a zero start, always preconditioned with the inverse diagonal
-(Jacobi), which evens out the widely spread diagonal of the detail Gram's
-strip rows; it stops on the unpreconditioned relative residual.
+(Jacobi), which evens out the spread of the detail Gram's diagonal (from 8
+up to ``2^{j+2} - 2`` on the global row); it stops on the unpreconditioned
+relative residual.
 """
 
 from __future__ import annotations

@@ -3,18 +3,18 @@
 The detail space at level ``j`` consists of the level ``j+1`` functions that
 are H1-orthogonal to every level-``j`` hat; its dimension is
 ``N_{j+1} - N_j = 3*4^j - 2^{j+1}``.  A function ``sum b_p phi_p`` lies in it
-iff ``M b = 0`` where ``M`` is the cross-level Gram matrix, so everything
-below is nullspace algebra on that constraint matrix.
+iff ``M b = 0`` where ``M`` is the cross-level Gram matrix, so every basis
+row below is an exact nullspace vector of that constraint matrix.
 
 Most of the space is covered by five closed-form stencil families (two edge
 families, three interior families), each with at most four nonzeros.  The
-remainder lives on the two outermost fine rows/columns (the boundary strip);
-it is completed numerically: reduce the constraint matrix to reduced row
-echelon form over a fixed descending (k, i) column order, walk the resulting
-nullspace basis vectors in that same deterministic order, and keep each one
-that enlarges the span beyond the closed-form stencils.  Exactly one kept
-function is supported along the whole strip rather than on a patch of it;
-it is tagged ``global``, all other kept functions are tagged ``strip``.
+remaining ``2^{j+3} - 8`` functions live on the two outermost fine
+rows/columns (the boundary strip) and are closed-form too: the 180-degree
+images of the closed-form rows next to the left and bottom edges, a
+level-independent table of five rows at the top-left corner and their images
+at the bottom-right corner, and one row supported along the whole top fine
+row.  That last one is tagged ``global``, all other strip rows ``strip``.
+Every coefficient is dyadic, so orthogonality to the coarse level is exact.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ from . import assembly, mesh
 
 FAMILY_NAMES = {1: "v-edge", 2: "h-edge", 3: "interior-1", 4: "interior-2", 5: "interior-3"}
 
-#: Pivot threshold for the echelon elimination; constraint entries are
-#: multiples of 1/2 and partial pivoting keeps growth mild, so anything
-#: below this is treated as a cancelled entry.
-_PIVOT_TOL = 1e-8
-
-#: Entries of computed strip stencils below this are dropped as elimination
-#: round-off.
-_PRUNE_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class WaveletSpec:
@@ -45,9 +36,10 @@ class WaveletSpec:
 
     level is the coarse level ``j`` (the function lives in level ``j+1``);
     position is the defining coarse position: ``(0, k)``/``(i, 0)`` for the
-    edge families, ``(i, k)`` for the interior families, and the seeding
-    fine vertex for strip/global functions.  stencil maps fine ``(i, k)``
-    pairs to coefficients.
+    edge families, ``(i, k)`` for the interior families and its 180-degree
+    image ``(2^j - i, 2^j - k)`` for their mirrored strip rows; the corner
+    and global strip rows carry their seed fine vertex instead.  stencil
+    maps fine ``(i, k)`` pairs to coefficients.
     """
 
     level: int
@@ -136,159 +128,71 @@ def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):
     return (np.asarray(k) - 1) * n + (np.asarray(i) - 1)
 
 
-def _descending_columns(j: int, pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return sorted(pairs, key=lambda p: (p[1], p[0]), reverse=True)
-
-
-def _rref(a: np.ndarray) -> list[tuple[int, int]]:
-    """In-place reduced row echelon form with partial pivoting.
-
-    Returns the pivot list as (row, column) pairs in elimination order.
-    Columns are scanned left to right, so the caller controls the pivot
-    preference through its column ordering.
-    """
-    m, n = a.shape
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        p = r + int(np.argmax(np.abs(a[r:, c])))
-        if abs(a[p, c]) <= _PIVOT_TOL:
-            continue
-        if p != r:
-            a[[r, p]] = a[[p, r]]
-        a[r] /= a[r, c]
-        # rows with a zero in column c would only subtract zeros
-        hit = np.nonzero(a[:, c])[0]
-        hit = hit[hit != r]
-        a[hit] -= np.outer(a[hit, c], a[r])
-        pivots.append((r, c))
-        r += 1
-    return pivots
-
-
-def _strip_candidates(j: int) -> tuple[list[tuple[int, int]], list[np.ndarray], list[tuple[int, int]]]:
-    """Nullspace basis of the orthogonality constraints, restricted near the strip.
-
-    Returns (column pairs, one dense candidate per free column in scan
-    order, free column pairs).  Elimination is restricted to the fine band
-    i >= 2^{j+1}-4 or k >= 2^{j+1}-4 together with the coarse rows that
-    touch it; every other constraint row has no support on the band, so
-    band-supported nullspace vectors satisfy it automatically.
-    """
-    con = assembly.cross_level_gram(j)
-    n_fine = 2 ** (j + 1) - 1
-    lo = 2 ** (j + 1) - 4
-    pairs = [
-        (i, k)
-        for k in range(1, n_fine + 1)
-        for i in range(1, n_fine + 1)
-        if i >= lo or k >= lo
-    ]
-    cols = _fine_linear(j, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-    touch = np.asarray((con[:, cols] != 0).sum(axis=1)).ravel() > 0
-    rows = np.nonzero(touch)[0]
-    pairs = _descending_columns(j, pairs)
-    cols = _fine_linear(j, np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs]))
-    a = np.asarray(con[rows][:, cols].todense(), dtype=float)
-    pivots = _rref(a)
-    pivot_rows = np.array([r for r, _ in pivots], dtype=int)
-    pivot_cols = np.array([c for _, c in pivots], dtype=int)
-    candidates: list[np.ndarray] = []
-    free_pairs: list[tuple[int, int]] = []
-    for f in np.setdiff1d(np.arange(len(pairs)), pivot_cols):
-        v = np.zeros(len(pairs))
-        v[f] = 1.0
-        coef = a[pivot_rows, f]
-        nz = coef != 0.0
-        v[pivot_cols[nz]] = -coef[nz]
-        candidates.append(v)
-        free_pairs.append(pairs[f])
-    return pairs, candidates, free_pairs
+#: The five top-left corner rows as ``(i, k - n, value)`` on the fine patch
+#: ``i <= 3, k >= n - 2`` (``n = 2^{j+1} - 1``), where the orthogonality
+#: constraints are the same 4x9 block at every level and which holds no
+#: closed-form row or 180-degree image.  They span the integer nullspace of that
+#: block in echelon form: each row's last entry is its seed, the one of the
+#: five free vertices ``(2..3, n-1)``, ``(1..3, n)`` on which it is nonzero.
+_CORNER_STENCILS = (
+    ((1, -2, -1.0), (2, -2, -1.0), (1, -1, -1.0), (2, -1, 1.0)),
+    ((2, -2, 1.0), (1, -1, -2.0), (3, -1, 1.0)),
+    ((1, -1, 2.0), (1, 0, 1.0)),
+    ((1, -1, -1.0), (2, 0, 1.0)),
+    ((1, -2, -1.0), (2, -2, -2.0), (1, -1, 2.0), (3, 0, 1.0)),
+)
 
 
 def strip_wavelets(j: int) -> list[WaveletSpec]:
-    """Boundary-strip completion of the closed-form families.
+    """Boundary-strip completion of the closed-form families, in closed form.
 
-    Walks the deterministic nullspace basis and keeps each vector whose
-    projection onto the strip columns (fine i or k >= 2^{j+1} - 2) enlarges
-    the span collected so far; the closed-form stencils never reach the
-    strip, so this is exactly the rank-extension test against everything
-    already collected.  Returns ``2^{j+3} - 8`` functions; raises if the
-    construction comes up short, which would mean an assembly bug.
+    The mesh and ``V_j`` are invariant under ``(x, y) -> (1-x, 1-y)``, which
+    maps fine ``(i, k)`` to ``(n+1-i, n+1-k)``.  The strip rows are, in
+    order:
+
+    * the 180-degree images of the closed-form rows that touch fine index 1
+      or 2 (families 1-2, families 3-5 at ``i == 1`` or ``k == 1``), with
+      position the image ``(2^j - i, 2^j - k)`` of the coarse position;
+    * the five :data:`_CORNER_STENCILS` rows at the top-left corner, then
+      their images at the bottom-right corner, positioned at their seed;
+    * the one global row: 1 at ``(i, n)`` for even ``4 <= i < n``, -1/2 at
+      ``(n, n)`` and 1 at its seed ``(1, n-1)``.
+
+    At ``j == 1`` both corner patches are the whole 3x3 grid; only the
+    images of corner rows 3 and 4 are independent of the rest there.
+    Every entry is dyadic, so each row is exactly orthogonal to ``V_j``.
+    Returns ``2^{j+3} - 8`` functions.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
-    target = 2 ** (j + 3) - 8
-    n_fine = 2 ** (j + 1) - 1
-    strip_lo = 2 ** (j + 1) - 2
-    pairs, candidates, free_pairs = _strip_candidates(j)
-    strip_pos = {p: s for s, p in enumerate(_descending_columns(
-        j, [(i, k) for k in range(1, n_fine + 1) for i in range(1, n_fine + 1)
-            if i >= strip_lo or k >= strip_lo]))}
-    proj_cols = np.array([strip_pos.get(p, -1) for p in pairs])
+    n = 2 ** (j + 1) - 1
 
-    kept: list[WaveletSpec] = []
-    ech = np.zeros((target, len(strip_pos)))
-    piv_idx = np.zeros(target, dtype=int)
-    rank = 0
-    for v, seed in zip(candidates, free_pairs):
-        proj = np.zeros(len(strip_pos))
-        on_strip = proj_cols >= 0
-        proj[proj_cols[on_strip]] = v[on_strip]
-        if rank:
-            proj -= ech[:rank].T @ proj[piv_idx[:rank]]
-        p = int(np.argmax(np.abs(proj)))
-        if abs(proj[p]) <= _PIVOT_TOL:
-            continue
-        ech[rank] = proj / proj[p]
-        piv_idx[rank] = p
-        # keep earlier rows reduced so the update above stays a single product
-        hit = np.nonzero(ech[:rank, p])[0]
-        ech[hit] -= np.outer(ech[hit, p], ech[rank])
-        rank += 1
-        stencil = {
-            pairs[c]: float(v[c]) for c in np.nonzero(np.abs(v) > _PRUNE_TOL)[0]
-        }
-        kept.append(WaveletSpec(j, "strip", seed, stencil))
-        if rank == target:
-            break
-    if len(kept) != target:
-        raise RuntimeError(
-            f"strip completion at level {j} found {len(kept)} functions, "
-            f"expected {target}; the orthogonality constraints are rank deficient"
-        )
-    return _tag_global(j, kept)
+    def image(p: tuple[int, int]) -> tuple[int, int]:
+        return n + 1 - p[0], n + 1 - p[1]
 
+    def mirrored(stencil: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
+        return {image(p): v for p, v in stencil.items()}
 
-def _tag_global(j: int, kept: list[WaveletSpec]) -> list[WaveletSpec]:
-    """Re-tag the single full-strip function as global.
-
-    The completion produces patch-supported functions except for one whose
-    support, restricted to the two top boundary rows, runs the whole width
-    of the domain and touches both rows; that one gets the ``global`` tag.
-    """
-    n_fine = 2 ** (j + 1) - 1
-    band_lo = n_fine - 1
-    full = []
-    for idx, w in enumerate(kept):
-        band = [(i, k) for (i, k) in w.stencil if k >= band_lo]
-        if not band:
-            continue
-        ii = [p[0] for p in band]
-        kk = [p[1] for p in band]
-        if min(ii) == 1 and max(ii) == n_fine and min(kk) == band_lo and max(kk) == n_fine:
-            full.append(idx)
-    if len(full) != 1:
-        raise RuntimeError(
-            f"expected exactly one globally supported strip function at level {j}, "
-            f"found {len(full)}"
-        )
-    out = list(kept)
-    idx = full[0]
-    w = out[idx]
-    out[idx] = WaveletSpec(w.level, "global", w.position, w.stencil)
+    out = []
+    for family, ii, kk in _family_positions(j):
+        touch = np.minimum(ii, kk) <= 1
+        out += [
+            WaveletSpec(j, "strip", (2**j - i, 2**j - k), mirrored(_family_stencil(family, i, k)))
+            for i, k in zip(ii[touch].tolist(), kk[touch].tolist())
+        ]
+    corners = [
+        ((rows[-1][0], n + rows[-1][1]), {(i, n + dk): v for i, dk, v in rows})
+        for rows in _CORNER_STENCILS
+    ]
+    out += [WaveletSpec(j, "strip", seed, c) for seed, c in corners]
+    out += [
+        WaveletSpec(j, "strip", image(seed), mirrored(c))
+        for seed, c in (corners if j > 1 else corners[2:4])
+    ]
+    glob = {(i, n): 1.0 for i in range(4, n, 2)}
+    glob[(n, n)] = -0.5
+    glob[(1, n - 1)] = 1.0
+    out.append(WaveletSpec(j, "global", (1, n - 1), glob))
     return out
 
 
@@ -307,10 +211,10 @@ def wavelet_matrix(j: int) -> sp.csr_matrix:
     """Stencil matrix of the detail basis, one wavelet per row.
 
     Shape is ``(N_{j+1} - N_j, N_{j+1})`` with rows ordered family 1,
-    family 2, families 3-5 row-major, then the strip completion.  The
-    closed-form rows come straight from the family offset table, one
-    array per stencil entry; only the strip rows pass through
-    :class:`WaveletSpec` stencils.
+    family 2, families 3-5 row-major, then the strip rows of
+    :func:`strip_wavelets`.  The closed-form rows come straight from the
+    family offset table, one array per stencil entry; only the
+    ``O(2^j)`` strip rows pass through :class:`WaveletSpec` stencils.
     """
     rows, cols, vals = [], [], []
     start = 0
@@ -345,8 +249,7 @@ def wavelet_gram(j: int) -> sp.csr_matrix:
 def verify_orthogonality(j: int, q: sp.csr_matrix | None = None) -> float:
     """Largest inner product between a coarse hat and a detail function.
 
-    Exactly zero for the closed-form rows (their arithmetic is dyadic);
-    bounded by elimination round-off, well under 1e-12, for the strip rows.
+    Exactly zero for the basis rows, whose coefficients are all dyadic.
     ``q`` replaces ``wavelet_matrix(j)`` as the detail rows to check.
     """
     if q is None:
@@ -384,41 +287,3 @@ def _within(w: WaveletSpec, n: int) -> bool:
     if w.family == FAMILY_NAMES[2]:
         return i <= n - 1
     return i <= n - 1 and k <= n - 1
-
-
-def dump_wavelet_matrix(j: int, f) -> None:
-    """Write the detail stencil matrix as text: 'rows cols nnz' then triples.
-
-    One 'row col value' line per stored entry with 1-based indices and 17
-    significant digits, row-major.  ``f`` is a path or a writable text file.
-    """
-    mat = wavelet_matrix(j).tocoo()
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    out = open(f, "w", encoding="utf-8") if own else f
-    try:
-        out.write(f"{mat.shape[0]} {mat.shape[1]} {mat.nnz}\n")
-        order = np.lexsort((mat.col, mat.row))
-        for t in order:
-            out.write(f"{mat.row[t] + 1} {mat.col[t] + 1} {mat.data[t]:.17g}\n")
-    finally:
-        if own:
-            out.close()
-
-
-def read_wavelet_dump(f) -> sp.csr_matrix:
-    """Parse the textual dump format back into a sparse matrix."""
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    src = open(f, "r", encoding="utf-8") if own else f
-    try:
-        header = src.readline().split()
-        rows, cols, nnz = (int(t) for t in header)
-        r = np.empty(nnz, dtype=int)
-        c = np.empty(nnz, dtype=int)
-        v = np.empty(nnz)
-        for t in range(nnz):
-            a, b, val = src.readline().split()
-            r[t], c[t], v[t] = int(a) - 1, int(b) - 1, float(val)
-    finally:
-        if own:
-            src.close()
-    return sp.coo_matrix((v, (r, c)), shape=(rows, cols)).tocsr()

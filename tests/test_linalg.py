@@ -87,7 +87,7 @@ def test_singular_semidefinite_matrix_raises():
 
 
 def test_factor_solves_detail_gram():
-    # one globally supported row gives this matrix a bandwidth of nearly n
+    # the global row couples the whole top fine row, yet the factor must stay sparse
     a = prewavelet.wavelet_gram(5)
     b = np.cos(np.arange(a.shape[0], dtype=float))
     x = linalg.CholeskyFactor(a).solve(b)
@@ -159,7 +159,7 @@ def test_cg_tolerance_validation():
 
 def test_cg_preconditioned_matches_cholesky_on_detail_gram():
     # the detail Gram's diagonal is far from constant, so Jacobi changes the iterates
-    a = prewavelet.wavelet_gram(4)
+    a = prewavelet.wavelet_gram(5)
     d = a.diagonal()
     assert d.max() > 10.0 * d.min()
     b = np.cos(np.arange(a.shape[0], dtype=float))
@@ -175,11 +175,21 @@ def test_cg_non_positive_diagonal_raises():
         linalg.cg_solve(a, np.ones(a.shape[0]))
 
 
-def test_cg_detail_iterations_at_level_five():
-    # plain CG needs about 1030 iterations here; Jacobi about 600
+def _detail_cg_iterations(j: int) -> int:
     g = bench.builtin_problems()["sine"].g
-    a = prewavelet.wavelet_gram(5)
-    b = prewavelet.wavelet_matrix(5) @ quadrature.load_vector(6, g)
+    a = prewavelet.wavelet_gram(j)
+    b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
     _, report = linalg.cg_solve(a, b, tol=1e-10)
     assert report.converged
-    assert report.iterations <= 700
+    return report.iterations
+
+
+def test_cg_detail_iterations_at_level_five():
+    # plain CG needs about 400 iterations here; Jacobi about 360
+    assert _detail_cg_iterations(5) <= 700
+
+
+def test_cg_detail_iterations_at_level_six():
+    # about 735: every strip row but the global one has at most four fine
+    # entries, so the strip no longer dominates the Gram's conditioning
+    assert _detail_cg_iterations(6) <= 800

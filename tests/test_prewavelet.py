@@ -6,12 +6,11 @@ its own independent oracle in test_assembly.
 """
 
 import hashlib
-import io
 
 import numpy as np
 import pytest
 
-from prewavelet_poisson import assembly, mesh, prewavelet
+from prewavelet_poisson import assembly, linalg, mesh, prewavelet
 
 
 def test_family_stencils_frozen():
@@ -124,8 +123,96 @@ def test_exactly_one_global_function(j):
     assert {p[1] for p in band} >= {n_fine - 1, n_fine}
 
 
+def _image(j, stencil):
+    """The 180-degree image (i, k) -> (n+1-i, n+1-k) of a fine stencil."""
+    m = 2 ** (j + 1)
+    return {(m - i, m - k): v for (i, k), v in stencil.items()}
+
+
+def _key(stencil):
+    return frozenset(stencil.items())
+
+
+#: The five top-left corner rows as (i, k - n, value), n = 2^{j+1} - 1.
+_CORNER_TABLE = (
+    ((1, -2, -1.0), (2, -2, -1.0), (1, -1, -1.0), (2, -1, 1.0)),
+    ((2, -2, 1.0), (1, -1, -2.0), (3, -1, 1.0)),
+    ((1, -1, 2.0), (1, 0, 1.0)),
+    ((1, -1, -1.0), (2, 0, 1.0)),
+    ((1, -2, -1.0), (2, -2, -2.0), (1, -1, 2.0), (3, 0, 1.0)),
+)
+
+
+def _global_row(j):
+    n = 2 ** (j + 1) - 1
+    row = {(i, n): 1.0 for i in range(4, n, 2)}
+    row[(n, n)] = -0.5
+    row[(1, n - 1)] = 1.0
+    return row
+
+
+def test_global_row_frozen():
+    # pinned bit for bit: the strip construction may change, this row may not
+    (w,) = [w for w in prewavelet.strip_wavelets(2) if w.family == "global"]
+    assert w.stencil == {(1, 6): 1.0, (4, 7): 1.0, (6, 7): 1.0, (7, 7): -0.5}
+    assert w.position == (1, 6)
+
+
 @pytest.mark.parametrize("j", (1, 2, 3, 4, 5))
+def test_every_strip_row_is_an_image_a_corner_row_or_the_global_row(j):
+    n = 2 ** (j + 1) - 1
+    images = {
+        _key(_image(j, w.stencil)) for w in prewavelet.closed_form_wavelets(j)
+    }
+    # the images that reach the strip (fine i or k >= n - 1) are all used
+    reaching = {s for s in images if any(max(p) >= n - 1 for p, _ in s)}
+    corners = [{(i, n + dk): v for i, dk, v in rows} for rows in _CORNER_TABLE]
+    corner_keys = {_key(c) for c in corners} | {_key(_image(j, c)) for c in corners}
+    used_images, used_corners = set(), set()
+    for w in prewavelet.strip_wavelets(j):
+        if w.family == "global":
+            assert w.stencil == _global_row(j)
+            continue
+        assert w.family == "strip"
+        key = _key(w.stencil)
+        if key in images:
+            used_images.add(key)
+        else:
+            assert key in corner_keys
+            used_corners.add(key)
+    assert used_images == reaching
+    assert len(used_images) == max(2 ** (j + 3) - 19, 0)
+    assert len(used_corners) == (10 if j > 1 else 7)
+
+
+def test_corner_stencils_level_independent():
+    # rows supported on the 3x3 fine patch at either corner, relative to n
+    def corner_rows(j):
+        n = 2 ** (j + 1) - 1
+        top_left, bottom_right = set(), set()
+        for w in prewavelet.strip_wavelets(j):
+            if all(i <= 3 and k >= n - 2 for i, k in w.stencil):
+                top_left.add(frozenset((i, k - n, v) for (i, k), v in w.stencil.items()))
+            if all(i >= n - 2 and k <= 3 for i, k in w.stencil):
+                bottom_right.add(frozenset((i - n, k, v) for (i, k), v in w.stencil.items()))
+        return top_left, bottom_right
+
+    top_left, bottom_right = corner_rows(2)
+    assert top_left == {frozenset(rows) for rows in _CORNER_TABLE}
+    assert len(bottom_right) == 5
+    for j in (3, 4, 5, 6):
+        assert corner_rows(j) == (top_left, bottom_right)
+
+
+@pytest.mark.parametrize("j", (5, 6))
+def test_detail_gram_factors_beyond_dense_checks(j):
+    # a positive L D L^T factor means full rank where matrix_rank is too slow
+    linalg.CholeskyFactor(prewavelet.wavelet_gram(j))
+
+
+@pytest.mark.parametrize("j", range(1, 8))
 def test_basis_size_and_exact_orthogonality(j):
+    # every coefficient is dyadic, so M C^T has no rounding at all
     basis = prewavelet.wavelet_basis(j)
     assert len(basis) == mesh.n_interior(j + 1) - mesh.n_interior(j)
     assert prewavelet.verify_orthogonality(j) == 0.0
@@ -202,18 +289,6 @@ def test_closed_form_ordering():
     )
 
 
-def test_dump_round_trip():
-    j = 2
-    buf = io.StringIO()
-    prewavelet.dump_wavelet_matrix(j, buf)
-    text = buf.getvalue()
-    c = prewavelet.wavelet_matrix(j)
-    header = text.splitlines()[0].split()
-    assert [int(v) for v in header] == [c.shape[0], c.shape[1], c.nnz]
-    rebuilt = prewavelet.read_wavelet_dump(io.StringIO(text))
-    assert np.array_equal(rebuilt.toarray(), c.toarray())
-
-
 def _digest(mat) -> str:
     h = hashlib.sha256()
     h.update(np.ascontiguousarray(mat.indptr, dtype=np.int64).tobytes())
@@ -223,14 +298,14 @@ def _digest(mat) -> str:
 
 
 #: SHA-256 of (indptr, indices, data) as int64/int64/float64, frozen from
-#: the stencil-by-stencil build over WaveletSpec objects with the full-grid
-#: strip elimination below level 5.
+#: the closed-form strip construction: 180-degree images of the closed-form
+#: rows, the corner table and its images, then the global row.
 _WAVELET_MATRIX_SHA256 = {
-    1: "18dd719c967087150601ac2996d474a5de4b77c4cb8b5f524546c57676abe2ef",
-    2: "2bbe0bc887cef1e50bd567b19a2eb08501980081398c18ab30abb8092aa36f36",
-    3: "8ba73069263ba665737921e2ffbceae39ec651a675fa7ea85f7bf989241a53e9",
-    4: "9f4eaa33edab11923dd2a360bababb4e0c38a38d22974e8bbd5390bf357cf066",
-    5: "164280ca4b018d5c702d245ec9b6a2d7f996a32732a88dbf8fc15727f8080610",
+    1: "b347495c6461104c55a36096826ef8df95a8b6518cd7b3c9a0f9399df441f03a",
+    2: "5479a6bfc9f310a2983a234e94657d916c00b3392be06d7a255dcabb1051daf4",
+    3: "edda63ef2267abf3725b46433aa03a75136b68e25dc0c6314eb6f1f9dbcc9b17",
+    4: "a5dfdf0ce285f9ccd2606075b15d2b2538c8b821cf0de35715a6c91585c71266",
+    5: "7ece37a08d74668b6fd81be1e4ffc4d8ac8e674577b28ba3cd3bece705a69651",
 }
 
 
