@@ -14,13 +14,12 @@ from .mesh import GridIndex, Triangle, inverse_index, linear_index, n_interior, 
 from .prewavelet import (
     WaveletSpec,
     dimension_check,
-    interior_wavelet,
     strip_wavelets,
     verify_orthogonality,
     wavelet_gram,
     wavelet_matrix,
 )
-from .quadrature import GAUSS7, MID3, TabulatedFunction, TriangleRule, integrate, load_vector, wavelet_load
+from .quadrature import GAUSS7, MID3, TabulatedFunction, TriangleRule, integrate, load_vector
 from .solver import (
     MultilevelSolution,
     export_solution_csv,
@@ -29,7 +28,6 @@ from .solver import (
     l2_error,
     multilevel_solve,
     verify_identity,
-    wavelet_solve,
 )
 
 __version__ = "0.1.0"
@@ -59,7 +57,6 @@ __all__ = [
     "h1_error",
     "homogenize",
     "integrate",
-    "interior_wavelet",
     "inverse_index",
     "l2_error",
     "linear_index",
@@ -77,7 +74,5 @@ __all__ = [
     "verify_identity",
     "verify_orthogonality",
     "wavelet_gram",
-    "wavelet_load",
     "wavelet_matrix",
-    "wavelet_solve",
 ]

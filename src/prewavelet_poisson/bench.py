@@ -177,7 +177,6 @@ def _clear_caches() -> None:
     assembly.refinement_matrix.cache_clear()
     assembly.stiffness_matrix.cache_clear()
     assembly.cross_level_gram.cache_clear()
-    prewavelet._basis.cache_clear()
     prewavelet.wavelet_matrix.cache_clear()
     prewavelet.wavelet_gram.cache_clear()
     solver._stiffness_factor.cache_clear()

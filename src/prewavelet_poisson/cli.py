@@ -37,11 +37,11 @@ def _max_level() -> int:
     return min(cap, _HARD_MAX_LEVEL)
 
 
-def _check_level(level: int) -> int:
+def _check_level(level: int, name: str = "level") -> int:
     cap = _max_level()
     if not (1 <= level <= cap):
         raise _ConfigError(
-            f"level must lie in 1..{cap} (cap from PREWAVELET_MAX_LEVEL), got {level}"
+            f"{name} must lie in 1..{cap} (cap from PREWAVELET_MAX_LEVEL), got {level}"
         )
     return level
 
@@ -176,10 +176,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     perturbed = {}
     if args.perturb:
         # test hook: corrupt one stencil entry and make sure the checks notice
-        original = prewavelet.wavelet_matrix(args.perturb_level or 1)
-        broken = original.tolil()
+        at = _check_level(args.perturb_level, "--perturb-level")
+        if at > min(level, 6):
+            raise _ConfigError(
+                f"--perturb-level must not exceed --level {level} or 6, the last level "
+                f"the orthogonality check reads; got {at}"
+            )
+        broken = prewavelet.wavelet_matrix(at).tolil()
         broken[0, 0] += 1.0
-        perturbed[args.perturb_level or 1] = broken.tocsr()
+        perturbed[at] = broken.tocsr()
 
     def wavelet_matrix(j):
         return perturbed.get(j, prewavelet.wavelet_matrix(j))
@@ -304,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
     )
     p_verify.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
-    p_verify.add_argument("--perturb-level", type=int, default=None, help=argparse.SUPPRESS)
+    p_verify.add_argument("--perturb-level", type=int, default=1, help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="run the timing harness and write CSV records")

@@ -14,7 +14,9 @@ This yields ``2 * 4^j`` triangles.  Interior vertices sit at
 each interior vertex is supported on the six triangles surrounding it.
 
 Vertices are stored as integer multiples of ``2^-j`` (grid units), so every
-coordinate and every triangle area below is exact.
+coordinate and every triangle area below is exact.  Load vectors and error
+norms sweep the cells, one triangle orientation of :data:`_CELL_OFFSETS` at
+a time; the per-triangle objects and arrays here serve as references.
 """
 
 from __future__ import annotations
@@ -152,9 +154,10 @@ def support_triangles(g: GridIndex) -> tuple[Triangle, ...]:
 def triangle_vertex_array(j: int) -> np.ndarray:
     """Vertices of ``triangles(j)`` as an int array of shape (T, 3, 2).
 
-    Bulk companion of :func:`triangles` for vectorized quadrature and
-    error evaluation; same triangle order, built from the cell indices
-    without creating the :class:`Triangle` objects.
+    Bulk companion of :func:`triangles`, same triangle order, built from the
+    cell indices without creating the :class:`Triangle` objects.  The
+    package's own sweeps run over cells (see ``quadrature._cell_points``);
+    this array is kept for the tests and the benchmark tracer.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")

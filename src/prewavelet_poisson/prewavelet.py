@@ -15,6 +15,8 @@ level-independent table of five rows at the top-left corner and their images
 at the bottom-right corner, and one row supported along the whole top fine
 row.  That last one is tagged ``global``, all other strip rows ``strip``.
 Every coefficient is dyadic, so orthogonality to the coarse level is exact.
+The basis is held in one form, the rows of :func:`wavelet_matrix`;
+:func:`strip_wavelets` also hands the strip rows out as stencils.
 """
 
 from __future__ import annotations
@@ -27,31 +29,22 @@ import scipy.sparse as sp
 
 from . import assembly, mesh
 
-FAMILY_NAMES = {1: "v-edge", 2: "h-edge", 3: "interior-1", 4: "interior-2", 5: "interior-3"}
-
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """One detail-space basis function, expanded in fine-level hats.
+    """One boundary-strip basis function, expanded in fine-level hats.
 
     level is the coarse level ``j`` (the function lives in level ``j+1``);
-    position is the defining coarse position: ``(0, k)``/``(i, 0)`` for the
-    edge families, ``(i, k)`` for the interior families and its 180-degree
-    image ``(2^j - i, 2^j - k)`` for their mirrored strip rows; the corner
-    and global strip rows carry their seed fine vertex instead.  stencil
-    maps fine ``(i, k)`` pairs to coefficients.
+    family is ``strip`` or ``global``.  position is the 180-degree image
+    ``(2^j - i, 2^j - k)`` of the coarse position ``(i, k)`` for a mirrored
+    closed-form row; the corner and global rows carry their seed fine vertex
+    instead.  stencil maps fine ``(i, k)`` pairs to coefficients.
     """
 
     level: int
     family: str
     position: tuple[int, int]
     stencil: dict[tuple[int, int], float]
-
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        """(min_i, max_i, min_k, max_k) over the stencil support."""
-        ii = [p[0] for p in self.stencil]
-        kk = [p[1] for p in self.stencil]
-        return min(ii), max(ii), min(kk), max(kk)
 
 
 #: Fine-grid stencils of the five families as (di, dk, value) offsets from
@@ -67,41 +60,7 @@ _FAMILY_STENCILS = {
 
 
 def _family_stencil(family: int, i: int, k: int) -> dict[tuple[int, int], float]:
-    if family not in _FAMILY_STENCILS:
-        raise ValueError(f"family must be 1..5, got {family}")
     return {(2 * i + di, 2 * k + dk): v for di, dk, v in _FAMILY_STENCILS[family]}
-
-
-def interior_wavelet(family: int, j: int, i: int, k: int) -> WaveletSpec:
-    """Closed-form wavelet of one of the five families at a coarse position.
-
-    Families 1 and 2 run along the left and bottom edge: family 1 takes
-    ``i == 0`` and position ``1 <= k <= 2^j - 2``, family 2 takes ``k == 0``
-    and position ``1 <= i <= 2^j - 2``.  Families 3-5 take interior
-    positions ``1 <= i, k <= 2^j - 2``.
-    """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    top = 2**j - 2
-    if family == 1:
-        if i != 0:
-            raise ValueError(f"family 1 sits on the vertical edge; expected i == 0, got {i}")
-        if not (1 <= k <= top):
-            raise ValueError(f"family 1 position out of range at level {j}: k={k} not in 1..{top}")
-    elif family == 2:
-        if k != 0:
-            raise ValueError(f"family 2 sits on the horizontal edge; expected k == 0, got {k}")
-        if not (1 <= i <= top):
-            raise ValueError(f"family 2 position out of range at level {j}: i={i} not in 1..{top}")
-    elif family in (3, 4, 5):
-        if not (1 <= i <= top and 1 <= k <= top):
-            raise ValueError(
-                f"family {family} position out of range at level {j}: "
-                f"({i}, {k}) not in 1..{top}"
-            )
-    else:
-        raise ValueError(f"family must be 1..5, got {family}")
-    return WaveletSpec(j, FAMILY_NAMES[family], (i, k), _family_stencil(family, i, k))
 
 
 def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -112,15 +71,6 @@ def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     k, i = np.divmod(np.arange(top * top), top)
     out = [(1, np.zeros_like(edge), edge), (2, edge, np.zeros_like(edge))]
     return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
-
-
-def closed_form_wavelets(j: int) -> list[WaveletSpec]:
-    """All admissible family-1..5 wavelets, families in order, positions row-major."""
-    return [
-        interior_wavelet(family, j, int(i), int(k))
-        for family, ii, kk in _family_positions(j)
-        for i, k in zip(ii, kk)
-    ]
 
 
 def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):
@@ -197,16 +147,6 @@ def strip_wavelets(j: int) -> list[WaveletSpec]:
 
 
 @lru_cache(maxsize=None)
-def _basis(j: int) -> tuple[WaveletSpec, ...]:
-    return tuple(closed_form_wavelets(j) + strip_wavelets(j))
-
-
-def wavelet_basis(j: int) -> tuple[WaveletSpec, ...]:
-    """The full detail basis: closed-form families then strip completion."""
-    return _basis(j)
-
-
-@lru_cache(maxsize=None)
 def wavelet_matrix(j: int) -> sp.csr_matrix:
     """Stencil matrix of the detail basis, one wavelet per row.
 
@@ -264,26 +204,12 @@ def dimension_check(j: int, n: int) -> tuple[int, int]:
     Counts the families restricted to positions below ``n``: families 1-2
     up to ``k <= n-1``, families 3-5 up to ``i, k <= n-1``.  The expected
     dimension is ``3n^2 - 4n + 1``; the actual value is the rank of the
-    corresponding stencil rows.
+    corresponding rows of :func:`wavelet_matrix`.
     """
     if not (1 <= n <= 2**j - 1):
         raise ValueError(f"subgrid size must be in 1..{2**j - 1}, got {n}")
     expected = 3 * n * n - 4 * n + 1
-    specs = [w for w in closed_form_wavelets(j) if _within(w, n)]
-    if not specs:
-        return expected, 0
-    n_fine = mesh.n_interior(j + 1)
-    a = np.zeros((len(specs), n_fine))
-    for r, w in enumerate(specs):
-        for (i, k), v in w.stencil.items():
-            a[r, _fine_linear(j, i, k)] = v
-    return expected, int(np.linalg.matrix_rank(a))
-
-
-def _within(w: WaveletSpec, n: int) -> bool:
-    i, k = w.position
-    if w.family == FAMILY_NAMES[1]:
-        return k <= n - 1
-    if w.family == FAMILY_NAMES[2]:
-        return i <= n - 1
-    return i <= n - 1 and k <= n - 1
+    # the closed-form rows lead the matrix in _family_positions order
+    within = np.concatenate([np.maximum(i, k) <= n - 1 for _, i, k in _family_positions(j)])
+    rows = wavelet_matrix(j)[np.flatnonzero(within)].toarray()
+    return expected, int(np.linalg.matrix_rank(rows)) if len(rows) else 0

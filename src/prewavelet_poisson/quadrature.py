@@ -10,10 +10,11 @@ barycentric coordinate of the supporting vertex, which is why load vectors
 below need nothing beyond the rule's barycentric point table.  Because the
 level-``j`` triangulation is a uniform grid of congruent cells, every rule
 point of the lower (or upper) triangle sits at the same offset inside its
-cell: ``load_vector`` samples the source once per orientation and rule point
-on a ``2^j x 2^j`` grid of such points, weights the samples into one grid of
-contributions per triangle vertex, and adds each grid into the node array
-with one shifted slice.
+cell.  ``_cell_points`` yields, per orientation and rule point, the
+``2^j x 2^j`` grid of such points; ``load_vector`` samples the source once on
+each, weights the samples into one grid of contributions per triangle
+vertex, and adds each grid into the node array with one shifted slice.  The
+error norms of :mod:`solver` sweep the same grids.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh, prewavelet
+from . import mesh
 
 
 @dataclass(frozen=True)
@@ -95,6 +96,25 @@ def integrate(tri: mesh.Triangle, f, rule: TriangleRule = MID3) -> float:
     return float(tri.area * (rule.weight_array() @ vals))
 
 
+def _cell_points(j: int, rule: TriangleRule):
+    """The points of ``rule`` in every cell of level ``j``, as coordinate grids.
+
+    Yields one ``(offsets, points)`` pair per triangle orientation of
+    :data:`mesh._CELL_OFFSETS`: its ``(3, 2)`` vertex offsets and a generator
+    over the rule points, in rule order, of the two ``(2^j, 2^j)`` arrays
+    ``x[cy, cx] = (cx + px) 2^-j`` and ``y[cy, cx] = (cy + py) 2^-j``, with
+    ``(px, py)`` the point's offset inside the cell.
+    """
+    m = 2**j
+    h = 1.0 / m
+    cells = np.arange(m, dtype=float)
+    for offsets in mesh._CELL_OFFSETS:
+        yield offsets, (
+            np.meshgrid((cells + px) * h, (cells + py) * h)
+            for px, py in rule.point_array() @ offsets
+        )
+
+
 def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     """Assemble the level-``j`` load vector of inner products with the hats.
 
@@ -118,37 +138,18 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
     m = 2**j
-    h = 1.0 / m
-    cells = np.arange(m, dtype=float)
     pts = rule.point_array()  # (Q, 3)
     # weight of point q's sample in the contribution to triangle vertex v
     coef = (0.5 / 4**j) * rule.weight_array()[:, None] * pts  # (Q, 3)
     full = np.zeros((m + 1, m + 1))
-    for offsets in mesh._CELL_OFFSETS:  # (3, 2) vertex offsets of one orientation
+    for offsets, points in _cell_points(j, rule):
         vals = np.empty((len(pts), m, m))
-        for q, (px, py) in enumerate(pts @ offsets):
-            x, y = np.meshgrid((cells + px) * h, (cells + py) * h)
+        for q, (x, y) in enumerate(points):
             vals[q] = _evaluate(g, x, y)
         contrib = np.tensordot(coef, vals, axes=(0, 0))  # (3, m, m)
         for (ox, oy), grid in zip(offsets, contrib):
             full[oy : oy + m, ox : ox + m] += grid
     return full[1:-1, 1:-1].ravel()
-
-
-def wavelet_load(j: int, fine_load: np.ndarray) -> np.ndarray:
-    """Detail load vector: wavelet stencils applied to the fine load.
-
-    ``fine_load`` must be the level ``j+1`` load vector; the result has one
-    entry per level-``j`` wavelet, in wavelet-matrix row order.
-    """
-    fine_load = np.asarray(fine_load, dtype=float)
-    expected = mesh.n_interior(j + 1)
-    if fine_load.shape != (expected,):
-        raise ValueError(
-            f"fine load for level {j} details must have length {expected}, "
-            f"got shape {fine_load.shape}"
-        )
-    return prewavelet.wavelet_matrix(j) @ fine_load
 
 
 class TabulatedFunction:

@@ -7,7 +7,10 @@ load is exactly the refinement matrix applied to the fine load), the
 prolonged ladder coefficients reproduce the direct fine-level solution to
 solver precision, which is the central equivalence this package exists to
 demonstrate.  Error norms are measured with the degree-5 rule regardless of
-the assembly rule.
+the assembly rule, on the same cell grid as the load vector: the nodal
+values at each triangle vertex are shifted slices of one zero-bordered node
+array, and the discrete gradient comes from the barycentric gradients of the
+two reference triangles.
 """
 
 from __future__ import annotations
@@ -61,25 +64,6 @@ def fem_solve(
     rhs = quadrature.load_vector(j, g, rule)
     return _solve_spd(
         lambda: assembly.stiffness_matrix(j), lambda: _stiffness_factor(j), rhs, solver, tol
-    )
-
-
-def wavelet_solve(
-    j: int,
-    g,
-    rule: quadrature.TriangleRule = quadrature.MID3,
-    solver: str = "direct",
-    tol: float = 1e-12,
-) -> np.ndarray:
-    """Detail coefficients at level ``j`` for the source ``g``.
-
-    Solves the detail Gram system against the wavelet load built from the
-    level ``j+1`` load vector.  Adding the prolonged result to the prolonged
-    coarse solution advances the ladder by one level.
-    """
-    rhs = quadrature.wavelet_load(j, quadrature.load_vector(j + 1, g, rule))
-    return _solve_spd(
-        lambda: prewavelet.wavelet_gram(j), lambda: _detail_factor(j), rhs, solver, tol
     )
 
 
@@ -195,28 +179,15 @@ def verify_identity(j: int) -> float:
     return float(np.max(np.abs(lhs - np.linalg.inv(df))))
 
 
-def _nodal_on_triangles(j: int, coeffs: np.ndarray) -> np.ndarray:
-    """Nodal values at each triangle vertex, zero on the boundary: (T, 3)."""
-    verts = mesh.triangle_vertex_array(j)
-    n = 2**j - 1
-    ix = verts[..., 0]
-    iy = verts[..., 1]
-    interior = (ix >= 1) & (ix <= n) & (iy >= 1) & (iy <= n)
-    lin = np.where(interior, (iy - 1) * n + (ix - 1), 0)
-    return np.where(interior, coeffs[lin], 0.0)
-
-
-def _gradients(j: int) -> tuple[np.ndarray, np.ndarray]:
-    """Barycentric gradients per triangle: two arrays of shape (T, 3)."""
-    verts = mesh.triangle_vertex_array(j) / 2**j
-    x = verts[..., 0]
-    y = verts[..., 1]
-    two_area = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
-        y[:, 1] - y[:, 0]
-    )
-    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
-    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
-    return gx / two_area[:, None], gy / two_area[:, None]
+def _cell_vertices(j: int, coeffs: np.ndarray, rule: quadrature.TriangleRule):
+    """Per orientation of :func:`quadrature._cell_points`: its vertex offsets,
+    the nodal values at its three vertices in every cell (three
+    ``(2^j, 2^j)`` slices of the zero-bordered node array) and its points."""
+    m = 2**j
+    nodes = np.zeros((m + 1, m + 1))
+    nodes[1:-1, 1:-1] = np.asarray(coeffs, dtype=float).reshape(m - 1, m - 1)
+    for offsets, points in quadrature._cell_points(j, rule):
+        yield offsets, [nodes[oy : oy + m, ox : ox + m] for ox, oy in offsets], points
 
 
 def h1_error(
@@ -231,20 +202,16 @@ def h1_error(
     The discrete gradient is constant per triangle; the exact gradient is
     sampled with the given rule (degree 5 by default).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    vals = _nodal_on_triangles(j, coeffs)
-    gx, gy = _gradients(j)
-    uhx = np.sum(vals * gx, axis=1)
-    uhy = np.sum(vals * gy, axis=1)
-    verts = mesh.triangle_vertex_array(j) / 2**j
-    pts = rule.point_array()
-    wts = rule.weight_array()
-    xy = np.einsum("qb,tbd->tqd", pts, verts)
-    ex = quadrature._evaluate(du_dx, xy[..., 0], xy[..., 1])
-    ey = quadrature._evaluate(du_dy, xy[..., 0], xy[..., 1])
-    area = 0.5 / 4**j
-    sq = ((ex - uhx[:, None]) ** 2 + (ey - uhy[:, None]) ** 2) @ wts
-    return float(np.sqrt(area * np.sum(sq)))
+    total = 0.0
+    for offsets, vertex, points in _cell_vertices(j, coeffs, rule):
+        # barycentric gradients of the orientation's triangle, rows d/dx, d/dy
+        grad = np.linalg.inv(np.column_stack([np.ones(3), offsets]))[1:] * 2**j
+        uhx, uhy = (sum(c * v for c, v in zip(row, vertex)) for row in grad)
+        for (x, y), w in zip(points, rule.weights):
+            ex = quadrature._evaluate(du_dx, x, y) - uhx
+            ey = quadrature._evaluate(du_dy, x, y) - uhy
+            total += w * np.sum(ex * ex + ey * ey)
+    return float(np.sqrt(0.5 / 4**j * total))
 
 
 def l2_error(
@@ -254,17 +221,12 @@ def l2_error(
     rule: quadrature.TriangleRule = quadrature.GAUSS7,
 ) -> float:
     """L2 distance between an exact solution and the nodal solution."""
-    coeffs = np.asarray(coeffs, dtype=float)
-    vals = _nodal_on_triangles(j, coeffs)
-    verts = mesh.triangle_vertex_array(j) / 2**j
-    pts = rule.point_array()
-    wts = rule.weight_array()
-    xy = np.einsum("qb,tbd->tqd", pts, verts)
-    exact = quadrature._evaluate(u, xy[..., 0], xy[..., 1])
-    approx = vals @ pts.T
-    area = 0.5 / 4**j
-    sq = (exact - approx) ** 2 @ wts
-    return float(np.sqrt(area * np.sum(sq)))
+    total = 0.0
+    for _, vertex, points in _cell_vertices(j, coeffs, rule):
+        for (x, y), bary, w in zip(points, rule.points, rule.weights):
+            err = quadrature._evaluate(u, x, y) - sum(b * v for b, v in zip(bary, vertex))
+            total += w * np.sum(err * err)
+    return float(np.sqrt(0.5 / 4**j * total))
 
 
 def export_solution_csv(f, j: int, coeffs: np.ndarray) -> None:

@@ -169,6 +169,14 @@ def test_verify_perturbation_is_caught(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("at", ("-1", "5"))
+def test_verify_rejects_perturb_level_out_of_range(at, capsys):
+    # -1 is below level 1; 5 is a level that --level 3 never checks
+    assert cli.main(["verify", "--level", "3", "--check", "orthogonality",
+                     "--perturb", "--perturb-level", at]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_bench_stdout_and_file(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     code = cli.main(["bench", "--levels", "2,3", "--problems", "sine",

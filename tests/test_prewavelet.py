@@ -13,57 +13,81 @@ import pytest
 from prewavelet_poisson import assembly, linalg, mesh, prewavelet
 
 
+def _closed_form_positions(j):
+    """(family, i, k) of the closed-form rows of wavelet_matrix(j), in row
+    order: family 1 at (0, k), family 2 at (i, 0), then families 3-5, each
+    over the interior positions row-major (k outer, i inner)."""
+    edge = range(1, 2**j - 1)
+    inner = [(i, k) for k in edge for i in edge]
+    return (
+        [(1, 0, k) for k in edge]
+        + [(2, i, 0) for i in edge]
+        + [(f, i, k) for f in (3, 4, 5) for i, k in inner]
+    )
+
+
+def _row(j, family, i, k):
+    return _closed_form_positions(j).index((family, i, k))
+
+
+def _stencil(j, r):
+    """Row ``r`` of wavelet_matrix(j) as a {(fine i, fine k): value} dict."""
+    row = prewavelet.wavelet_matrix(j).getrow(r)
+    n = 2 ** (j + 1) - 1
+    return {(int(c) % n + 1, int(c) // n + 1): float(v) for c, v in zip(row.indices, row.data)}
+
+
 def test_family_stencils_frozen():
     # v-edge and h-edge pairs (weights 2, 1 along the left and bottom edges)
-    assert prewavelet.interior_wavelet(1, 2, 0, 1).stencil == {
+    assert _stencil(2, _row(2, 1, 0, 1)) == {
         (1, 2): 2.0,
         (1, 3): 1.0,
     }
-    assert prewavelet.interior_wavelet(1, 2, 0, 2).stencil == {
+    assert _stencil(2, _row(2, 1, 0, 2)) == {
         (1, 4): 2.0,
         (1, 5): 1.0,
     }
-    assert prewavelet.interior_wavelet(2, 2, 1, 0).stencil == {
+    assert _stencil(2, _row(2, 2, 1, 0)) == {
         (2, 1): 2.0,
         (3, 1): 1.0,
     }
-    assert prewavelet.interior_wavelet(2, 2, 2, 0).stencil == {
+    assert _stencil(2, _row(2, 2, 2, 0)) == {
         (4, 1): 2.0,
         (5, 1): 1.0,
     }
     # the three interior quartets at (i,k) = (1,1)
-    assert prewavelet.interior_wavelet(3, 2, 1, 1).stencil == {
+    assert _stencil(2, _row(2, 3, 1, 1)) == {
         (2, 2): -1.0,
         (3, 2): 1.0,
         (2, 3): 1.0,
         (3, 3): 1.0,
     }
-    assert prewavelet.interior_wavelet(4, 2, 1, 1).stencil == {
+    assert _stencil(2, _row(2, 4, 1, 1)) == {
         (1, 1): 1.0,
         (2, 1): 1.0,
         (1, 2): 1.0,
         (2, 2): -1.0,
     }
-    assert prewavelet.interior_wavelet(5, 2, 1, 1).stencil == {
+    assert _stencil(2, _row(2, 5, 1, 1)) == {
         (1, 2): 1.0,
         (2, 3): 1.0,
         (2, 1): -1.0,
         (3, 2): -1.0,
     }
     # shifted interior instances at (2,1), (1,2), (2,2)
-    assert prewavelet.interior_wavelet(3, 2, 2, 1).stencil == {
+    assert _stencil(2, _row(2, 3, 2, 1)) == {
         (4, 2): -1.0,
         (5, 2): 1.0,
         (4, 3): 1.0,
         (5, 3): 1.0,
     }
-    assert prewavelet.interior_wavelet(4, 2, 1, 2).stencil == {
+    assert _stencil(2, _row(2, 4, 1, 2)) == {
         (1, 3): 1.0,
         (2, 3): 1.0,
         (1, 4): 1.0,
         (2, 4): -1.0,
     }
-    assert prewavelet.interior_wavelet(5, 2, 2, 2).stencil == {
+    assert _stencil(2, _row(2, 5, 2, 2)) == {
         (3, 4): 1.0,
         (4, 5): 1.0,
         (4, 3): -1.0,
@@ -71,36 +95,26 @@ def test_family_stencils_frozen():
     }
 
 
-def test_interior_wavelet_range_errors():
-    with pytest.raises(ValueError):
-        prewavelet.interior_wavelet(1, 2, 1, 1)  # family 1 needs i == 0
-    with pytest.raises(ValueError):
-        prewavelet.interior_wavelet(2, 2, 1, 1)  # family 2 needs k == 0
-    with pytest.raises(ValueError):
-        prewavelet.interior_wavelet(3, 2, 3, 1)  # i beyond 2^j - 2
-    with pytest.raises(ValueError):
-        prewavelet.interior_wavelet(1, 1, 0, 1)  # empty range at j = 1
-    with pytest.raises(ValueError):
-        prewavelet.interior_wavelet(6, 2, 1, 1)  # no such family
+def _n_closed_form(j):
+    """Number of closed-form rows: everything before the strip rows."""
+    return prewavelet.wavelet_matrix(j).shape[0] - len(prewavelet.strip_wavelets(j))
 
 
 def test_closed_form_counts_and_small_support():
     for j in (1, 2, 3, 4):
         n = 2**j - 1
-        ws = prewavelet.closed_form_wavelets(j)
-        assert len(ws) == 3 * n * n - 4 * n + 1
-        assert all(len(w.stencil) <= 4 for w in ws)
+        count = _n_closed_form(j)
+        assert count == 3 * n * n - 4 * n + 1
+        indptr = prewavelet.wavelet_matrix(j).indptr
+        assert np.all(np.diff(indptr[: count + 1]) <= 4)
 
 
 def test_every_closed_form_is_exactly_orthogonal():
     # M v = 0 with no rounding: the defining property, checked entrywise
     for j in (1, 2, 3):
         m = assembly.cross_level_gram(j).toarray()
-        for w in prewavelet.closed_form_wavelets(j):
-            v = np.zeros(mesh.n_interior(j + 1))
-            for (fi, fk), c in w.stencil.items():
-                v[mesh.linear_index(mesh.GridIndex(j + 1, fi, fk))] = c
-            assert np.max(np.abs(m @ v)) == 0.0
+        rows = prewavelet.wavelet_matrix(j)[: _n_closed_form(j)].toarray()
+        assert not np.any(m @ rows.T)
 
 
 @pytest.mark.parametrize("j", (1, 2, 3, 4, 5))
@@ -161,9 +175,7 @@ def test_global_row_frozen():
 @pytest.mark.parametrize("j", (1, 2, 3, 4, 5))
 def test_every_strip_row_is_an_image_a_corner_row_or_the_global_row(j):
     n = 2 ** (j + 1) - 1
-    images = {
-        _key(_image(j, w.stencil)) for w in prewavelet.closed_form_wavelets(j)
-    }
+    images = {_key(_image(j, _stencil(j, r))) for r in range(_n_closed_form(j))}
     # the images that reach the strip (fine i or k >= n - 1) are all used
     reaching = {s for s in images if any(max(p) >= n - 1 for p, _ in s)}
     corners = [{(i, n + dk): v for i, dk, v in rows} for rows in _CORNER_TABLE]
@@ -213,8 +225,8 @@ def test_detail_gram_factors_beyond_dense_checks(j):
 @pytest.mark.parametrize("j", range(1, 8))
 def test_basis_size_and_exact_orthogonality(j):
     # every coefficient is dyadic, so M C^T has no rounding at all
-    basis = prewavelet.wavelet_basis(j)
-    assert len(basis) == mesh.n_interior(j + 1) - mesh.n_interior(j)
+    rows = prewavelet.wavelet_matrix(j).shape[0]
+    assert rows == mesh.n_interior(j + 1) - mesh.n_interior(j)
     assert prewavelet.verify_orthogonality(j) == 0.0
 
 
@@ -252,10 +264,10 @@ def test_wavelet_gram_family1_diagonal():
     # a(psi, psi) for a v-edge pair: 4*4 + 1*4 + 2*2*(-1) = 16
     for j in (2, 3):
         e = prewavelet.wavelet_gram(j).toarray()
-        basis = prewavelet.wavelet_basis(j)
-        for idx, w in enumerate(basis):
-            if w.family == "v-edge":
-                assert e[idx, idx] == 16.0
+        v_edge = [r for r, (f, _, _) in enumerate(_closed_form_positions(j)) if f == 1]
+        assert v_edge
+        for r in v_edge:
+            assert e[r, r] == 16.0
 
 
 def test_wavelet_gram_against_dense_product():
@@ -281,12 +293,24 @@ def test_deterministic_construction():
     assert [w.position for w in a] == [w.position for w in b]
 
 
+#: The five families as {(di, dk): value} offsets from the fine image
+#: (2i, 2k) of their coarse position, read off the frozen stencils above.
+_FAMILY_PATTERNS = {
+    1: {(1, 0): 2.0, (1, 1): 1.0},
+    2: {(0, 1): 2.0, (1, 1): 1.0},
+    3: {(0, 0): -1.0, (1, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0},
+    4: {(-1, -1): 1.0, (0, -1): 1.0, (-1, 0): 1.0, (0, 0): -1.0},
+    5: {(-1, 0): 1.0, (0, 1): 1.0, (0, -1): -1.0, (1, 0): -1.0},
+}
+
+
 def test_closed_form_ordering():
-    families = [w.family for w in prewavelet.closed_form_wavelets(2)]
-    assert families == (
-        ["v-edge"] * 2 + ["h-edge"] * 2 + ["interior-1"] * 4
-        + ["interior-2"] * 4 + ["interior-3"] * 4
-    )
+    # rows run family 1, family 2, then families 3-5, each row-major
+    positions = _closed_form_positions(2)
+    assert [f for f, _, _ in positions] == [1] * 2 + [2] * 2 + [3] * 4 + [4] * 4 + [5] * 4
+    for r, (f, i, k) in enumerate(positions):
+        want = {(2 * i + di, 2 * k + dk): v for (di, dk), v in _FAMILY_PATTERNS[f].items()}
+        assert _stencil(2, r) == want
 
 
 def _digest(mat) -> str:
@@ -316,9 +340,10 @@ def test_wavelet_matrix_bits_frozen(j):
 
 @pytest.mark.parametrize("j", (1, 2, 3, 4))
 def test_wavelet_matrix_rows_are_the_basis_stencils(j):
-    basis = prewavelet.wavelet_basis(j)
-    ref = np.zeros((len(basis), mesh.n_interior(j + 1)))
-    for r, w in enumerate(basis):
+    # the strip rows close the matrix, in strip_wavelets order
+    strips = prewavelet.strip_wavelets(j)
+    ref = np.zeros((len(strips), mesh.n_interior(j + 1)))
+    for r, w in enumerate(strips):
         for (fi, fk), v in w.stencil.items():
             ref[r, mesh.linear_index(mesh.GridIndex(j + 1, fi, fk))] = v
-    assert np.array_equal(prewavelet.wavelet_matrix(j).toarray(), ref)
+    assert np.array_equal(prewavelet.wavelet_matrix(j).toarray()[-len(strips) :], ref)

@@ -102,20 +102,19 @@ def test_load_vector_rules_agree_on_smooth_rhs():
     np.testing.assert_allclose(f3, f7, rtol=5e-5, atol=1e-9)
 
 
-def test_wavelet_load_frozen_and_shape():
-    # family-1 wavelet at j=2, position k=1 has stencil {(1,2): 2, (1,3): 1};
-    # with g = 1 every level-3 load entry is 1/64, so the wavelet load is 3/64.
-    fine = quadrature.load_vector(3, lambda x, y: np.ones_like(x))
-    wl = quadrature.wavelet_load(2, fine)
-    basis = prewavelet.wavelet_basis(2)
-    assert len(wl) == len(basis)
-    idx = next(
-        n for n, w in enumerate(basis) if w.family == "v-edge" and w.position == (0, 1)
-    )
-    assert basis[idx].stencil == {(1, 2): 2.0, (1, 3): 1.0}
-    assert wl[idx] == pytest.approx(3.0 / 64.0, rel=1e-13)
-    with pytest.raises(ValueError):
-        quadrature.wavelet_load(2, np.zeros(5))
+def test_detail_load_frozen():
+    # family-1 wavelet at j=2, position k=1 (row 0) has stencil
+    # {(1,2): 2, (1,3): 1}; with g = 1 every level-3 load entry is 1/64,
+    # so its detail load is 3/64.
+    c = prewavelet.wavelet_matrix(2)
+    row = c.getrow(0)
+    assert dict(zip(row.indices.tolist(), row.data.tolist())) == {
+        mesh.linear_index(mesh.GridIndex(3, 1, 2)): 2.0,
+        mesh.linear_index(mesh.GridIndex(3, 1, 3)): 1.0,
+    }
+    detail = c @ quadrature.load_vector(3, lambda x, y: np.ones_like(x))
+    assert detail.shape == (c.shape[0],)
+    assert detail[0] == pytest.approx(3.0 / 64.0, rel=1e-13)
 
 
 def test_tabulated_function_reproduces_affine():
@@ -169,6 +168,33 @@ def test_load_vector_matches_per_triangle_oracle(j, rule, kind):
     got = quadrature.load_vector(j, g, rule)
     expect = _oracle_load(j, g, rule)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15 * np.max(np.abs(expect)))
+
+
+def _load_vector_before_cell_points(j, g, rule):
+    # load_vector's body before the cell grid moved into _cell_points
+    m = 2**j
+    h = 1.0 / m
+    cells = np.arange(m, dtype=float)
+    pts = rule.point_array()
+    coef = (0.5 / 4**j) * rule.weight_array()[:, None] * pts
+    full = np.zeros((m + 1, m + 1))
+    for offsets in mesh._CELL_OFFSETS:
+        vals = np.empty((len(pts), m, m))
+        for q, (px, py) in enumerate(pts @ offsets):
+            x, y = np.meshgrid((cells + px) * h, (cells + py) * h)
+            vals[q] = quadrature._evaluate(g, x, y)
+        contrib = np.tensordot(coef, vals, axes=(0, 0))
+        for (ox, oy), grid in zip(offsets, contrib):
+            full[oy : oy + m, ox : ox + m] += grid
+    return full[1:-1, 1:-1].ravel()
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+@pytest.mark.parametrize("rule", (quadrature.MID3, quadrature.GAUSS7), ids=("mid3", "gauss7"))
+def test_load_vector_bits_unchanged_by_the_shared_sampler(j, rule):
+    # the sampler the error norms share changed no sample point
+    got = quadrature.load_vector(j, _smooth, rule)
+    assert np.array_equal(got, _load_vector_before_cell_points(j, _smooth, rule))
 
 
 def _four_gather(tab, x, y):

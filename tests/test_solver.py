@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from prewavelet_poisson import assembly, bench, linalg, mesh, prewavelet, quadrature, solver
+from prewavelet_poisson import assembly, bench, linalg, mesh, quadrature, solver
 
 
 def test_single_vertex_frozen_value():
@@ -23,15 +23,6 @@ def test_fem_solves_the_galerkin_system():
     a = assembly.stiffness_matrix(j)
     f = quadrature.load_vector(j, g)
     assert np.linalg.norm(a @ c - f) / np.linalg.norm(f) <= 1e-12
-
-
-def test_wavelet_solve_system_residual():
-    g = bench.builtin_problems()["sine"].g
-    j = 2
-    b = solver.wavelet_solve(j, g)
-    e = prewavelet.wavelet_gram(j)
-    rhs = quadrature.wavelet_load(j, quadrature.load_vector(j + 1, g))
-    assert np.linalg.norm(e @ b - rhs) / np.linalg.norm(rhs) <= 1e-12
 
 
 @pytest.mark.parametrize("problem", ("sine", "poly", "exp"))
@@ -146,6 +137,76 @@ def test_h1_error_vanishes_for_space_member():
         j, coeffs, lambda x, y: grad(x, y)[0], lambda x, y: grad(x, y)[1]
     )
     assert err <= 1e-10
+
+
+def test_l2_error_vanishes_for_space_member():
+    # the piecewise-linear interpolant of the nodal values is the V_j member
+    rng = np.random.default_rng(5)
+    for j in (1, 3, 5):
+        coeffs = rng.standard_normal(mesh.n_interior(j))
+        nodes = np.pad(coeffs.reshape(2**j - 1, 2**j - 1), 1)
+        assert solver.l2_error(j, coeffs, quadrature.TabulatedFunction(nodes)) <= 1e-12
+
+
+def _nodal_on_triangles(j, coeffs):
+    """Nodal values at each triangle vertex, zero on the boundary: (T, 3)."""
+    verts = mesh.triangle_vertex_array(j)
+    n = 2**j - 1
+    ix = verts[..., 0]
+    iy = verts[..., 1]
+    interior = (ix >= 1) & (ix <= n) & (iy >= 1) & (iy <= n)
+    lin = np.where(interior, (iy - 1) * n + (ix - 1), 0)
+    return np.where(interior, coeffs[lin], 0.0)
+
+
+def _gradients(j):
+    """Barycentric gradients per triangle: two arrays of shape (T, 3)."""
+    verts = mesh.triangle_vertex_array(j) / 2**j
+    x = verts[..., 0]
+    y = verts[..., 1]
+    two_area = (x[:, 1] - x[:, 0]) * (y[:, 2] - y[:, 0]) - (x[:, 2] - x[:, 0]) * (
+        y[:, 1] - y[:, 0]
+    )
+    gx = np.stack([y[:, 1] - y[:, 2], y[:, 2] - y[:, 0], y[:, 0] - y[:, 1]], axis=1)
+    gy = np.stack([x[:, 2] - x[:, 1], x[:, 0] - x[:, 2], x[:, 1] - x[:, 0]], axis=1)
+    return gx / two_area[:, None], gy / two_area[:, None]
+
+
+def _h1_error_per_triangle(j, coeffs, du_dx, du_dy, rule):
+    """The H1 error norm summed triangle by triangle, as an oracle."""
+    vals = _nodal_on_triangles(j, coeffs)
+    gx, gy = _gradients(j)
+    uhx = np.sum(vals * gx, axis=1)
+    uhy = np.sum(vals * gy, axis=1)
+    verts = mesh.triangle_vertex_array(j) / 2**j
+    xy = np.einsum("qb,tbd->tqd", rule.point_array(), verts)
+    ex = quadrature._evaluate(du_dx, xy[..., 0], xy[..., 1])
+    ey = quadrature._evaluate(du_dy, xy[..., 0], xy[..., 1])
+    sq = ((ex - uhx[:, None]) ** 2 + (ey - uhy[:, None]) ** 2) @ rule.weight_array()
+    return float(np.sqrt(0.5 / 4**j * np.sum(sq)))
+
+
+def _l2_error_per_triangle(j, coeffs, u, rule):
+    """The L2 error norm summed triangle by triangle, as an oracle."""
+    vals = _nodal_on_triangles(j, coeffs)
+    verts = mesh.triangle_vertex_array(j) / 2**j
+    pts = rule.point_array()
+    xy = np.einsum("qb,tbd->tqd", pts, verts)
+    exact = quadrature._evaluate(u, xy[..., 0], xy[..., 1])
+    sq = (exact - vals @ pts.T) ** 2 @ rule.weight_array()
+    return float(np.sqrt(0.5 / 4**j * np.sum(sq)))
+
+
+@pytest.mark.parametrize("problem", ("sine", "poly", "exp"))
+@pytest.mark.parametrize("rule", (quadrature.MID3, quadrature.GAUSS7), ids=("mid3", "gauss7"))
+def test_error_norms_match_per_triangle_oracle(problem, rule):
+    p = bench.builtin_problems()[problem]
+    for j in range(1, 7):
+        c = solver.fem_solve(j, p.g)
+        h1 = solver.h1_error(j, c, p.du_dx, p.du_dy, rule)
+        l2 = solver.l2_error(j, c, p.u, rule)
+        assert h1 == pytest.approx(_h1_error_per_triangle(j, c, p.du_dx, p.du_dy, rule), rel=1e-10)
+        assert l2 == pytest.approx(_l2_error_per_triangle(j, c, p.u, rule), rel=1e-10)
 
 
 def test_h1_error_of_zero_is_seminorm():
