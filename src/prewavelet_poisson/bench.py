@@ -4,7 +4,8 @@ Timed passes rebuild everything from scratch (caches cleared), separate
 assembly from solve time, and take medians over repetitions after one
 discarded warm-up pass.  The prewavelet method is timed cumulatively over
 its whole ladder, construction included, because that is how the
-multiresolution sweep is used; its solve phase is the library's own
+multiresolution sweep is used.  FEM is the same ladder with no detail
+levels, so for both methods the solve phase is the library's own
 ``solver.multilevel_from_load`` and prolongation.  Errors are measured
 afterwards, outside the timed region, with the degree-5 rule.  A failed
 solve is recorded with NaN in the timing and error fields rather than
@@ -179,53 +180,43 @@ def _clear_caches() -> None:
     assembly.cross_level_gram.cache_clear()
     prewavelet.wavelet_matrix.cache_clear()
     prewavelet.wavelet_gram.cache_clear()
-    solver._stiffness_factor.cache_clear()
-    solver._detail_factor.cache_clear()
+    solver._factor.cache_clear()
 
 
-def _fem_pass(problem, level, solver_name, tol, rule):
-    _clear_caches()
-    t0 = time.perf_counter()
-    a = assembly.stiffness_matrix(level)
-    rhs = quadrature.load_vector(level, problem.g, rule)
-    t1 = time.perf_counter()
-    if solver_name == "direct":
-        coeffs = linalg.CholeskyFactor(a).solve(rhs)
-    else:
-        coeffs, report = linalg.cg_solve(a, rhs, tol=tol)
-        if not report.converged:
-            raise RuntimeError("cg did not converge")
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, coeffs
+_METHODS = ("fem", "prewavelet")
 
 
-def _prewavelet_pass(problem, level, solver_name, tol, rule):
+def _pass(problem, level, method, solver_name, tol, rule):
+    """One cold pass: (assemble seconds, solve seconds, nodal coefficients).
+
+    FEM is the ladder with no detail levels, so both methods time the
+    library's ``multilevel_from_load`` and prolongation.
+    """
+    base = level if method == "fem" else 1
     _clear_caches()
     t0 = time.perf_counter()
     rhs = quadrature.load_vector(level, problem.g, rule)
     # build the cached matrices here, so the solve phase is the ladder alone
-    assembly.stiffness_matrix(1)
-    for j in range(1, level):
+    assembly.stiffness_matrix(base)
+    for j in range(base, level):
         assembly.refinement_matrix(j)
         prewavelet.wavelet_matrix(j)
         prewavelet.wavelet_gram(j)
     t1 = time.perf_counter()
-    coeffs = solver.multilevel_from_load(level, rhs, solver=solver_name, tol=tol).prolong()
+    coeffs = solver.multilevel_from_load(
+        level, rhs, base_level=base, solver=solver_name, tol=tol
+    ).prolong()
     t2 = time.perf_counter()
     return t1 - t0, t2 - t1, coeffs
 
 
-_PASSES = {"fem": _fem_pass, "prewavelet": _prewavelet_pass}
-
-
 def _run_combo(problem, level, method, solver_name, tol, rule, repetitions):
-    run = _PASSES[method]
     try:
-        run(problem, level, solver_name, tol, rule)  # warm-up, discarded
+        _pass(problem, level, method, solver_name, tol, rule)  # warm-up, discarded
         assemble, solve_t, total = [], [], []
         coeffs = None
         for _ in range(repetitions):
-            a_s, s_s, coeffs = run(problem, level, solver_name, tol, rule)
+            a_s, s_s, coeffs = _pass(problem, level, method, solver_name, tol, rule)
             assemble.append(a_s)
             solve_t.append(s_s)
             total.append(a_s + s_s)
@@ -264,7 +255,7 @@ def _run_combo(problem, level, method, solver_name, tol, rule, repetitions):
 def run_benchmark(
     problems: list[TestProblem] | None = None,
     levels: tuple[int, ...] = (4, 5, 6),
-    methods: tuple[str, ...] = ("fem", "prewavelet"),
+    methods: tuple[str, ...] = _METHODS,
     solvers: tuple[str, ...] = ("direct",),
     tolerances: tuple[float, ...] = (),
     repetitions: int = 3,
@@ -297,8 +288,8 @@ def run_benchmark(
         for (s, t) in settings
     ]
     for _, level, m, _, _ in combos:
-        if m not in _PASSES:
-            raise ValueError(f"method must be one of {sorted(_PASSES)}, got {m!r}")
+        if m not in _METHODS:
+            raise ValueError(f"method must be one of {sorted(_METHODS)}, got {m!r}")
         if level < 1:
             raise ValueError(f"level must be >= 1, got {level}")
     records = [

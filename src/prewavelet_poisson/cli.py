@@ -37,11 +37,11 @@ def _max_level() -> int:
     return min(cap, _HARD_MAX_LEVEL)
 
 
-def _check_level(level: int, name: str = "level") -> int:
+def _check_level(level: int) -> int:
     cap = _max_level()
     if not (1 <= level <= cap):
         raise _ConfigError(
-            f"{name} must lie in 1..{cap} (cap from PREWAVELET_MAX_LEVEL), got {level}"
+            f"level must lie in 1..{cap} (cap from PREWAVELET_MAX_LEVEL), got {level}"
         )
     return level
 
@@ -172,32 +172,15 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks = ("orthogonality", "rank", "dimensions", "identity", "equivalence")
     wanted = checks if args.check == "all" else (args.check,)
     ok = True
-
-    perturbed = {}
-    if args.perturb:
-        # test hook: corrupt one stencil entry and make sure the checks notice
-        at = _check_level(args.perturb_level, "--perturb-level")
-        if at > min(level, 6):
-            raise _ConfigError(
-                f"--perturb-level must not exceed --level {level} or 6, the last level "
-                f"the orthogonality check reads; got {at}"
-            )
-        broken = prewavelet.wavelet_matrix(at).tolil()
-        broken[0, 0] += 1.0
-        perturbed[at] = broken.tocsr()
-
-    def wavelet_matrix(j):
-        return perturbed.get(j, prewavelet.wavelet_matrix(j))
-
     if "orthogonality" in wanted:
         for j in range(1, min(level, 6) + 1):
-            worst = prewavelet.verify_orthogonality(j, wavelet_matrix(j))
+            worst = prewavelet.verify_orthogonality(j)
             ok &= _print_check(
                 f"orthogonality j={j}", worst <= 1e-12, f"max inner product {worst:.3e}"
             )
     if "rank" in wanted:
         for j in range(1, min(level, 4) + 1):
-            mat = wavelet_matrix(j)
+            mat = prewavelet.wavelet_matrix(j)
             expected = mesh.n_interior(j + 1) - mesh.n_interior(j)
             actual = int(np.linalg.matrix_rank(mat.toarray()))
             ok &= _print_check(
@@ -308,8 +291,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("all", "orthogonality", "rank", "dimensions", "identity", "equivalence"),
         default="all",
     )
-    p_verify.add_argument("--perturb", action="store_true", help=argparse.SUPPRESS)
-    p_verify.add_argument("--perturb-level", type=int, default=1, help=argparse.SUPPRESS)
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bench = sub.add_parser("bench", help="run the timing harness and write CSV records")

@@ -11,7 +11,7 @@ transverse to each edge.  Then w = u - L has zero trace and solves
 
 since the bilinear part and the transverse-linear weights drop out of the
 second derivatives.  Trace second derivatives are supplied by the caller;
-a central finite-difference fallback (default step 1e-5) can be enabled
+a central finite-difference fallback (step ``FD_STEP``) can be enabled
 instead, at the cost of roughly eight digits of accuracy in g1.
 """
 
@@ -23,6 +23,10 @@ from typing import Callable
 import numpy as np
 
 Trace = Callable[[np.ndarray], np.ndarray]
+
+#: Step of the central second differences that stand in for missing trace
+#: second derivatives when ``homogenize`` is asked to fall back on them.
+FD_STEP = 1e-5
 
 
 @dataclass(frozen=True)
@@ -86,24 +90,24 @@ def corner_values(problem: DirichletProblem, tol: float = 1e-9) -> tuple[float, 
     return tuple(values)
 
 
-def _fd_second(f: Trace, step: float) -> Trace:
-    """Clamped central second difference; O(step) near 0 and 1, O(step^2) inside."""
+def _fd_second(f: Trace) -> Trace:
+    """Clamped central second difference; O(FD_STEP) near 0 and 1, O(FD_STEP^2) inside."""
 
     def dd(t):
-        tc = np.clip(np.asarray(t, dtype=float), step, 1.0 - step)
-        return (np.asarray(f(tc - step), dtype=float) - 2.0 * np.asarray(f(tc), dtype=float)
-                + np.asarray(f(tc + step), dtype=float)) / step**2
+        tc = np.clip(np.asarray(t, dtype=float), FD_STEP, 1.0 - FD_STEP)
+        return (np.asarray(f(tc - FD_STEP), dtype=float) - 2.0 * np.asarray(f(tc), dtype=float)
+                + np.asarray(f(tc + FD_STEP), dtype=float)) / FD_STEP**2
 
     return dd
 
 
-def homogenize(problem: DirichletProblem, fd_fallback: bool = False, fd_step: float = 1e-5):
+def homogenize(problem: DirichletProblem, fd_fallback: bool = False):
     """Split an inhomogeneous problem into (g1, L).
 
     Returns the homogenized source g1 and the lift L; the zero-trace
     solution w of -laplace(w) = g1 reconstructs u = w + L.  Missing trace
     second derivatives raise ValueError unless ``fd_fallback`` is set, in
-    which case central differences with ``fd_step`` stand in.
+    which case central differences with step ``FD_STEP`` stand in.
     """
     a1, a2, a3, a4 = corner_values(problem)
 
@@ -115,7 +119,7 @@ def homogenize(problem: DirichletProblem, fd_fallback: bool = False, fd_step: fl
                 raise ValueError(
                     f"problem has no {name}; supply it or pass fd_fallback=True"
                 )
-            dd = _fd_second(getattr(problem, name[:-3]), fd_step)
+            dd = _fd_second(getattr(problem, name[:-3]))
         dds.append(dd)
     bottom_dd, top_dd, left_dd, right_dd = dds
 

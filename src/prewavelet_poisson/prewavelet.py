@@ -186,15 +186,12 @@ def wavelet_gram(j: int) -> sp.csr_matrix:
     return (c @ assembly.stiffness_matrix(j + 1) @ c.T).tocsr()
 
 
-def verify_orthogonality(j: int, q: sp.csr_matrix | None = None) -> float:
+def verify_orthogonality(j: int) -> float:
     """Largest inner product between a coarse hat and a detail function.
 
     Exactly zero for the basis rows, whose coefficients are all dyadic.
-    ``q`` replaces ``wavelet_matrix(j)`` as the detail rows to check.
     """
-    if q is None:
-        q = wavelet_matrix(j)
-    r = assembly.cross_level_gram(j) @ q.T
+    r = assembly.cross_level_gram(j) @ wavelet_matrix(j).T
     return float(np.max(np.abs(r.toarray()))) if r.nnz else 0.0
 
 

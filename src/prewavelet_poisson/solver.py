@@ -1,12 +1,14 @@
 """Poisson solves in the hat basis and the multiresolution ladder.
 
-``fem_solve`` is the single-level Galerkin solve.  ``multilevel_solve``
-computes the same function as a coarse solve plus one detail solve per
-level: with loads restricted downward from the finest level (the coarse
-load is exactly the refinement matrix applied to the fine load), the
-prolonged ladder coefficients reproduce the direct fine-level solution to
-solver precision, which is the central equivalence this package exists to
-demonstrate.  Error norms are measured with the degree-5 rule regardless of
+``multilevel_from_load`` is the one solve path: a coarse solve plus one
+detail solve per level.  With loads restricted downward from the finest
+level (the coarse load is exactly the refinement matrix applied to the fine
+load), the prolonged ladder coefficients reproduce the direct fine-level
+solution to solver precision, which is the central equivalence this package
+exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
+the ladder with no detail levels (``base_level == top_level``).  Each
+system is factored once per level and cached, or solved by conjugate
+gradients.  Error norms are measured with the degree-5 rule regardless of
 the assembly rule, on the same cell grid as the load vector: the nodal
 values at each triangle vertex are shifted slices of one zero-bordered node
 array, and the discrete gradient comes from the barycentric gradients of the
@@ -25,20 +27,17 @@ from . import assembly, linalg, mesh, prewavelet, quadrature
 
 
 @lru_cache(maxsize=None)
-def _stiffness_factor(j: int) -> linalg.CholeskyFactor:
-    return linalg.CholeskyFactor(assembly.stiffness_matrix(j))
+def _factor(system, j: int) -> linalg.CholeskyFactor:
+    return linalg.CholeskyFactor(system(j))
 
 
-@lru_cache(maxsize=None)
-def _detail_factor(j: int) -> linalg.CholeskyFactor:
-    return linalg.CholeskyFactor(prewavelet.wavelet_gram(j))
-
-
-def _solve_spd(matrix_factory, factor_factory, rhs, solver, tol):
+def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
+    """Solve ``system(j) x = rhs``, where ``system`` is
+    ``assembly.stiffness_matrix`` or ``prewavelet.wavelet_gram``."""
     if solver == "direct":
-        return factor_factory().solve(rhs)
+        return _factor(system, j).solve(rhs)
     if solver == "cg":
-        x, report = linalg.cg_solve(matrix_factory(), rhs, tol=tol)
+        x, report = linalg.cg_solve(system(j), rhs, tol=tol)
         if not report.converged:
             raise RuntimeError(
                 f"cg stalled at relative residual {report.relative_residual:.3g} "
@@ -59,12 +58,10 @@ def fem_solve(
 
     Returns the nodal values at the interior vertices (the hat basis is
     nodal).  ``solver`` picks Cholesky (cached per level) or conjugate
-    gradients with relative tolerance ``tol``.
+    gradients with relative tolerance ``tol``.  This is the ladder with no
+    detail levels.
     """
-    rhs = quadrature.load_vector(j, g, rule)
-    return _solve_spd(
-        lambda: assembly.stiffness_matrix(j), lambda: _stiffness_factor(j), rhs, solver, tol
-    )
+    return multilevel_solve(j, g, rule, base_level=j, solver=solver, tol=tol).coarse
 
 
 @dataclass(frozen=True)
@@ -123,21 +120,11 @@ def multilevel_from_load(
     loads = {top_level: fine_load}
     for j in range(top_level - 1, base_level - 1, -1):
         loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
-    coarse = _solve_spd(
-        lambda: assembly.stiffness_matrix(base_level),
-        lambda: _stiffness_factor(base_level),
-        loads[base_level],
-        solver,
-        tol,
-    )
+    coarse = _solve(assembly.stiffness_matrix, base_level, loads[base_level], solver, tol)
     details = []
     for j in range(base_level, top_level):
         rhs = prewavelet.wavelet_matrix(j) @ loads[j + 1]
-        details.append(
-            _solve_spd(
-                lambda: prewavelet.wavelet_gram(j), lambda: _detail_factor(j), rhs, solver, tol
-            )
-        )
+        details.append(_solve(prewavelet.wavelet_gram, j, rhs, solver, tol))
     return MultilevelSolution(base_level, coarse, tuple(details))
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from prewavelet_poisson import bench, mesh
+from prewavelet_poisson import bench, mesh, quadrature, solver
 
 
 def test_builtin_problem_names():
@@ -122,6 +122,16 @@ def test_run_benchmark_cg_records_tolerance():
         tolerances=(1e-8, 1e-10), repetitions=1,
     )
     assert [r.tolerance for r in records] == [1e-8, 1e-10]
+
+
+@pytest.mark.parametrize("solver_name, tol", [("direct", None), ("cg", 1e-10)])
+def test_fem_pass_times_the_library_solve(solver_name, tol):
+    # the timed FEM pass is the library's fem_solve, bit for bit
+    sine = bench.builtin_problems()["sine"]
+    _, _, coeffs = bench._pass(sine, 5, "fem", solver_name, tol, quadrature.MID3)
+    kwargs = {} if tol is None else {"solver": solver_name, "tol": tol}
+    expected = solver.fem_solve(5, sine.g, **kwargs)
+    assert np.array_equal(coeffs, expected)
 
 
 def test_speedup_summary_pairs_methods():
