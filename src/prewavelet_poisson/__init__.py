@@ -9,7 +9,7 @@ corrections whose sum reproduces the fine-level solution.
 from .assembly import cross_level_gram, refinement_matrix, refinement_row, stiffness_matrix
 from .bench import BenchRecord, TestProblem, builtin_problems, run_benchmark
 from .homogenize import DirichletProblem, bilinear_lift, homogenize, reconstruct
-from .linalg import NotPositiveDefiniteError, SolverReport, cg_solve, cholesky_solve
+from .linalg import CholeskyFactor, NotPositiveDefiniteError, SolverReport, cg_solve
 from .mesh import GridIndex, Triangle, inverse_index, linear_index, n_interior, support_triangles, triangles
 from .prewavelet import (
     WaveletSpec,
@@ -34,6 +34,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchRecord",
+    "CholeskyFactor",
     "DirichletProblem",
     "GAUSS7",
     "GridIndex",
@@ -49,7 +50,6 @@ __all__ = [
     "bilinear_lift",
     "builtin_problems",
     "cg_solve",
-    "cholesky_solve",
     "cross_level_gram",
     "dimension_check",
     "export_solution_csv",

@@ -13,8 +13,8 @@ to its fine-grid image ``(2i, 2k)``):
 * stiffness: 4 on the diagonal, -1 toward the four axis neighbors; the
   diagonal-direction neighbors (+-1, +-1 along the cell diagonal) integrate
   to exactly zero and are not stored.
-* cross-level Gram (coarse row against fine column): the 17-entry table in
-  ``_GRAM_STENCIL`` below, equal to refinement times fine stiffness.
+* cross-level Gram (coarse row against fine column): not tabulated but
+  formed as refinement times fine stiffness, a 17-entry stencil.
 """
 
 from __future__ import annotations
@@ -42,26 +42,6 @@ _STIFFNESS_STENCIL = {
     (1, 0): -1.0,
     (0, -1): -1.0,
     (0, 1): -1.0,
-}
-
-_GRAM_STENCIL = {
-    (0, 0): 2.0,
-    (-1, 0): 0.5,
-    (1, 0): 0.5,
-    (0, -1): 0.5,
-    (0, 1): 0.5,
-    (-1, -1): 1.0,
-    (1, 1): 1.0,
-    (-2, 0): -0.5,
-    (2, 0): -0.5,
-    (0, -2): -0.5,
-    (0, 2): -0.5,
-    (-2, -1): -0.5,
-    (-1, -2): -0.5,
-    (2, 1): -0.5,
-    (1, 2): -0.5,
-    (-1, 1): -1.0,
-    (1, -1): -1.0,
 }
 
 
@@ -129,10 +109,14 @@ def cross_level_gram(j: int) -> sp.csr_matrix:
     """Inner products of level-``j`` hats against level ``j+1`` hats.
 
     Row m, column p holds the H1 seminorm product of coarse hat m with fine
-    hat p.  Equals ``refinement_matrix(j) @ stiffness_matrix(j+1)`` exactly;
-    rows of this matrix are the orthogonality constraints the detail space
-    must satisfy.
+    hat p.  It is ``refinement_matrix(j) @ stiffness_matrix(j+1)``, exact
+    because every entry is a multiple of 1/2; the zeros that cancel along
+    the cell diagonals are not stored.  Rows of this matrix are the
+    orthogonality constraints the detail space must satisfy.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
-    return _stencil_matrix(j, j + 1, _GRAM_STENCIL)
+    gram = (refinement_matrix(j) @ stiffness_matrix(j + 1)).tocsr()
+    gram.eliminate_zeros()
+    gram.sort_indices()
+    return gram

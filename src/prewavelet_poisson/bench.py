@@ -18,7 +18,7 @@ import csv
 import math
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -91,12 +91,6 @@ def builtin_problems() -> dict[str, TestProblem]:
     return {p.name: p for p in problems}
 
 
-CSV_HEADER = (
-    "problem,method,solver,level,tolerance,unknowns,"
-    "assemble_s,solve_s,total_s,h1_error,l2_error"
-)
-
-
 @dataclass
 class BenchRecord:
     """One benchmark combination; tolerance is None for direct solves."""
@@ -114,64 +108,37 @@ class BenchRecord:
     l2_error: float
 
 
+_FIELDS = fields(BenchRecord)
+CSV_HEADER = ",".join(f.name for f in _FIELDS)
+# one parser per field annotation (strings, under postponed evaluation)
+_PARSERS = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda t: None if t == "" else float(t),
+}
+
+
 def write_csv(records: list[BenchRecord], f) -> None:
-    """Serialize records under the fixed CSV schema; floats via repr."""
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    out = open(f, "w", newline="", encoding="utf-8") if own else f
-    try:
-        writer = csv.writer(out)
-        writer.writerow(CSV_HEADER.split(","))
-        for r in records:
-            writer.writerow(
-                [
-                    r.problem,
-                    r.method,
-                    r.solver,
-                    r.level,
-                    "" if r.tolerance is None else repr(r.tolerance),
-                    r.unknowns,
-                    repr(r.assemble_s),
-                    repr(r.solve_s),
-                    repr(r.total_s),
-                    repr(r.h1_error),
-                    repr(r.l2_error),
-                ]
-            )
-    finally:
-        if own:
-            out.close()
+    """Write records to the text stream ``f`` under the fixed CSV schema.
+
+    Floats are written via repr and a None tolerance as an empty field.
+    """
+    writer = csv.writer(f)
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows(astuple(r) for r in records)
 
 
 def read_csv(f) -> list[BenchRecord]:
-    """Parse records written by :func:`write_csv`."""
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    src = open(f, "r", newline="", encoding="utf-8") if own else f
-    try:
-        reader = csv.reader(src)
-        header = next(reader)
-        if header != CSV_HEADER.split(","):
-            raise ValueError(f"unexpected header {header!r}")
-        out = []
-        for row in reader:
-            out.append(
-                BenchRecord(
-                    problem=row[0],
-                    method=row[1],
-                    solver=row[2],
-                    level=int(row[3]),
-                    tolerance=None if row[4] == "" else float(row[4]),
-                    unknowns=int(row[5]),
-                    assemble_s=float(row[6]),
-                    solve_s=float(row[7]),
-                    total_s=float(row[8]),
-                    h1_error=float(row[9]),
-                    l2_error=float(row[10]),
-                )
-            )
-        return out
-    finally:
-        if own:
-            src.close()
+    """Parse records written by :func:`write_csv` from the text stream ``f``."""
+    reader = csv.reader(f)
+    header = next(reader)
+    if header != CSV_HEADER.split(","):
+        raise ValueError(f"unexpected header {header!r}")
+    return [
+        BenchRecord(*(_PARSERS[fd.type](v) for fd, v in zip(_FIELDS, row, strict=True)))
+        for row in reader
+    ]
 
 
 def _clear_caches() -> None:
@@ -211,6 +178,7 @@ def _pass(problem, level, method, solver_name, tol, rule):
 
 
 def _run_combo(problem, level, method, solver_name, tol, rule, repetitions):
+    """One record; a failed solve gives NaN timings and errors."""
     try:
         _pass(problem, level, method, solver_name, tol, rule)  # warm-up, discarded
         assemble, solve_t, total = [], [], []
@@ -220,36 +188,24 @@ def _run_combo(problem, level, method, solver_name, tol, rule, repetitions):
             assemble.append(a_s)
             solve_t.append(s_s)
             total.append(a_s + s_s)
-        h1 = solver.h1_error(level, coeffs, problem.du_dx, problem.du_dy)
-        l2 = solver.l2_error(level, coeffs, problem.u)
-        return BenchRecord(
-            problem=problem.name,
-            method=method,
-            solver=solver_name,
-            level=level,
-            tolerance=None if solver_name == "direct" else tol,
-            unknowns=mesh.n_interior(level),
-            assemble_s=statistics.median(assemble),
-            solve_s=statistics.median(solve_t),
-            total_s=statistics.median(total),
-            h1_error=h1,
-            l2_error=l2,
+        measured = (
+            statistics.median(assemble),
+            statistics.median(solve_t),
+            statistics.median(total),
+            solver.h1_error(level, coeffs, problem.du_dx, problem.du_dy),
+            solver.l2_error(level, coeffs, problem.u),
         )
     except (linalg.NotPositiveDefiniteError, RuntimeError):
-        nan = float("nan")
-        return BenchRecord(
-            problem=problem.name,
-            method=method,
-            solver=solver_name,
-            level=level,
-            tolerance=None if solver_name == "direct" else tol,
-            unknowns=mesh.n_interior(level),
-            assemble_s=nan,
-            solve_s=nan,
-            total_s=nan,
-            h1_error=nan,
-            l2_error=nan,
-        )
+        measured = (float("nan"),) * 5
+    return BenchRecord(
+        problem.name,
+        method,
+        solver_name,
+        level,
+        None if solver_name == "direct" else tol,
+        mesh.n_interior(level),
+        *measured,
+    )
 
 
 def run_benchmark(

@@ -113,6 +113,16 @@ def _load_problem_file(path: str):
     return name, g, lift
 
 
+def _write_out(path: str, write) -> None:
+    """Open ``path`` for writing and hand the stream to ``write``; a path
+    that cannot be written is a configuration error."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as f:
+            write(f)
+    except OSError as exc:
+        raise _ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _cmd_solve(args: argparse.Namespace) -> int:
     level = _check_level(args.level)
     tol = _check_tol(args.tol)
@@ -148,7 +158,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not np.all(np.isfinite(coeffs)):
         print("numerical failure: the solution has non-finite values", file=sys.stderr)
         return NUMERICAL_FAILURE
-    solver.export_solution_csv(args.out, level, coeffs)
+    _write_out(args.out, lambda f: solver.export_solution_csv(f, level, coeffs))
 
     summary = (
         f"problem {name}: method {args.method}, solver {args.solver}, level {level}, "
@@ -251,7 +261,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rule=_rule(args.quad),
     )
     if args.out:
-        bench.write_csv(records, args.out)
+        _write_out(args.out, lambda f: bench.write_csv(records, f))
         print(f"wrote {len(records)} records -> {args.out}")
     else:
         bench.write_csv(records, sys.stdout)

@@ -3,14 +3,16 @@
 Both Galerkin systems solved in this package are SPD: the hat-basis
 stiffness matrix (five-point pattern) and the detail Gram matrix (sparse
 apart from one globally supported row, which gives it a bandwidth of nearly
-its size).  ``cholesky_solve`` factors either one the same way: a sparse
-symmetric ``P A P^T = L D L^T`` factorization (SuperLU with a minimum-degree
-ordering of ``A + A^T`` and diagonal pivots only), whose fill follows the
-sparsity rather than the bandwidth.  ``cg_solve`` is conjugate gradients
-from a zero start, always preconditioned with the inverse diagonal
-(Jacobi), which evens out the spread of the detail Gram's diagonal (from 8
-up to ``2^{j+2} - 2`` on the global row); it stops on the unpreconditioned
-relative residual.
+its size).  ``CholeskyFactor`` is the one direct path and factors either
+one the same way: a sparse symmetric ``P A P^T = L D L^T`` factorization
+(SuperLU with a minimum-degree ordering of ``A + A^T`` and diagonal pivots
+only), whose fill follows the sparsity rather than the bandwidth.
+``cg_solve`` is conjugate gradients from a zero start, always preconditioned
+with the inverse diagonal (Jacobi), which evens out the spread of the detail
+Gram's diagonal (from 8 up to ``2^{j+2} - 2`` on the global row); it stops
+on the unpreconditioned relative residual.  Both reject a matrix that is not
+square and symmetric with ValueError, so neither hands back the solution of
+a system that cannot be SPD.
 """
 
 from __future__ import annotations
@@ -29,18 +31,16 @@ class NotPositiveDefiniteError(Exception):
 
 @dataclass
 class SolverReport:
-    """Outcome of one linear solve.
+    """Outcome of one conjugate-gradient solve.
 
-    iterations is 0 for direct solves.  relative_residual is the true
-    ``||b - A x|| / ||b||`` of the returned solution.  converged records
-    whether the stopping criterion was met (always True for a direct solve
-    that returned).
+    relative_residual is the true ``||b - A x|| / ||b||`` of the returned
+    solution.  converged records whether the stopping criterion was met.
     """
 
     iterations: int
     relative_residual: float
     seconds: float
-    converged: bool = True
+    converged: bool
 
 
 def _as_csr(a) -> sp.csr_matrix:
@@ -49,13 +49,9 @@ def _as_csr(a) -> sp.csr_matrix:
     return sp.csr_matrix(np.asarray(a, dtype=float))
 
 
-def _check_system(a: sp.csr_matrix, b: np.ndarray) -> None:
+def _check_matrix(a: sp.csr_matrix) -> None:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if b.shape != (a.shape[0],):
-        raise ValueError(
-            f"right-hand side length {b.shape} does not match matrix of size {a.shape[0]}"
-        )
     scale = np.max(np.abs(a.data)) if a.nnz else 0.0
     skew = a - a.T
     asym = np.max(np.abs(skew.data)) if skew.nnz else 0.0
@@ -71,13 +67,13 @@ class CholeskyFactor:
     and the diagonal entry always taken as pivot.  ``U`` is then ``D L^T``,
     so ``A`` is positive definite exactly when the row and column orders
     agree and every diagonal entry of ``U`` is positive; anything else
-    raises NotPositiveDefiniteError, as does an exactly singular factor.
+    raises NotPositiveDefiniteError, as does an exactly singular factor.  A
+    matrix that is not square and symmetric raises ValueError first.
     """
 
     def __init__(self, a) -> None:
         a = _as_csr(a)
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
+        _check_matrix(a)
         self.n = a.shape[0]
         try:
             self._lu = spla.splu(
@@ -102,26 +98,6 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
-def cholesky_solve(a, b) -> tuple[np.ndarray, SolverReport]:
-    """Solve a SPD system through :class:`CholeskyFactor`.
-
-    Every system takes the one sparse symmetric factorization; the
-    fill-reducing ordering keeps the detail Gram's globally supported row
-    from filling the factor in.  Raises NotPositiveDefiniteError on a
-    non-positive or zero pivot and ValueError on shape or symmetry
-    violations.
-    """
-    a = _as_csr(a)
-    b = np.asarray(b, dtype=float)
-    _check_system(a, b)
-    start = time.perf_counter()
-    x = CholeskyFactor(a).solve(b)
-    seconds = time.perf_counter() - start
-    bnorm = float(np.linalg.norm(b))
-    res = float(np.linalg.norm(b - a @ x)) / bnorm if bnorm else 0.0
-    return x, SolverReport(iterations=0, relative_residual=res, seconds=seconds)
-
-
 def cg_solve(
     a,
     b,
@@ -140,7 +116,11 @@ def cg_solve(
     """
     a = _as_csr(a)
     b = np.asarray(b, dtype=float)
-    _check_system(a, b)
+    _check_matrix(a)
+    if b.shape != (a.shape[0],):
+        raise ValueError(
+            f"right-hand side length {b.shape} does not match matrix of size {a.shape[0]}"
+        )
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
     n = a.shape[0]

@@ -217,21 +217,18 @@ def l2_error(
 
 
 def export_solution_csv(f, j: int, coeffs: np.ndarray) -> None:
-    """Write nodal coefficients as CSV: level,i,k,x,y,value per interior vertex."""
+    """Write nodal coefficients to the text stream ``f`` as CSV.
+
+    One row ``level,i,k,x,y,value`` per interior vertex.
+    """
     coeffs = np.asarray(coeffs, dtype=float)
     n = 2**j - 1
     if coeffs.shape != (n * n,):
         raise ValueError(f"expected {n * n} values for level {j}, got shape {coeffs.shape}")
-    own = isinstance(f, (str, bytes)) or hasattr(f, "__fspath__")
-    out = open(f, "w", newline="", encoding="utf-8") if own else f
-    try:
-        writer = csv.writer(out)
-        writer.writerow(["level", "i", "k", "x", "y", "value"])
-        for m in range(n * n):
-            k, i = divmod(m, n)
-            i += 1
-            k += 1
-            writer.writerow([j, i, k, repr(i / 2**j), repr(k / 2**j), repr(float(coeffs[m]))])
-    finally:
-        if own:
-            out.close()
+    writer = csv.writer(f)
+    writer.writerow(["level", "i", "k", "x", "y", "value"])
+    for m in range(n * n):
+        k, i = divmod(m, n)
+        i += 1
+        k += 1
+        writer.writerow([j, i, k, repr(i / 2**j), repr(k / 2**j), repr(float(coeffs[m]))])

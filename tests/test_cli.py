@@ -50,6 +50,12 @@ def test_solve_rejects_bad_level(tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+def test_solve_rejects_unwritable_out(tmp_path, capsys):
+    code = cli.main(["solve", "--level", "3", "--out", str(tmp_path / "missing" / "x.csv")])
+    assert code == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
 def test_solve_honors_level_cap(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PREWAVELET_MAX_LEVEL", "3")
     code = cli.main(["solve", "--level", "4", "--out", str(tmp_path / "x.csv")])
@@ -209,8 +215,10 @@ def test_bench_rejects_unknown_problem(capsys):
         ["--reps", "0"],
         ["--levels", "2,x"],
         ["--solver", "cg", "--tolerances", "1e-8,x"],
+        ["--reps", "1", "--out", "{missing}/x.csv"],
     ],
 )
-def test_bench_rejects_bad_flags(flags, capsys):
+def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
+    flags = [f.format(missing=tmp_path / "missing") for f in flags]
     assert cli.main(["bench", "--levels", "2", "--problems", "sine", *flags]) == 2
     assert "configuration error" in capsys.readouterr().err

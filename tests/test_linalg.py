@@ -32,38 +32,36 @@ def _random_spd(n: int, seed: int) -> np.ndarray:
     return r @ r.T + n * np.eye(n)
 
 
-def test_cholesky_dense_path_matches_oracle():
+def test_factor_fully_coupled_matches_oracle():
     a = _random_spd(40, seed=0)  # fully coupled: the factor fills in completely
     b = np.arange(40, dtype=float)
-    x, report = linalg.cholesky_solve(sp.csr_matrix(a), b)
+    x = linalg.CholeskyFactor(sp.csr_matrix(a)).solve(b)
     np.testing.assert_allclose(x, _gauss_solve(a, b), rtol=1e-10)
-    assert report.iterations == 0
-    assert report.converged
-    assert report.relative_residual <= 1e-12
+    assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-12
 
 
-def test_cholesky_banded_path_matches_oracle():
+def test_factor_tridiagonal_matches_oracle():
     # 1D Laplacian: bandwidth 1 on 200 unknowns, a factor with no fill
     n = 200
     main = 2.0 * np.ones(n)
     off = -1.0 * np.ones(n - 1)
     a = sp.diags([off, main, off], (-1, 0, 1), format="csr")
     b = np.sin(np.linspace(0, 3, n))
-    x, _ = linalg.cholesky_solve(a, b)
+    x = linalg.CholeskyFactor(a).solve(b)
     np.testing.assert_allclose(x, _gauss_solve(a.toarray(), b), rtol=1e-9)
 
 
-def test_banded_and_dense_agree_on_stiffness():
+def test_factor_matches_oracle_on_stiffness():
     a = assembly.stiffness_matrix(3)
     b = quadrature.load_vector(3, lambda x, y: np.exp(x) * y)
-    x, _ = linalg.cholesky_solve(a, b)
+    x = linalg.CholeskyFactor(a).solve(b)
     np.testing.assert_allclose(x, _gauss_solve(a.toarray(), b), rtol=1e-9)
 
 
 def test_not_positive_definite_raises():
     a = sp.csr_matrix(np.diag([1.0, -1.0]))
     with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.cholesky_solve(a, np.ones(2))
+        linalg.CholeskyFactor(a)
 
 
 def test_indefinite_matrix_with_permuting_ordering_raises():
@@ -71,8 +69,6 @@ def test_indefinite_matrix_with_permuting_ordering_raises():
     a = assembly.stiffness_matrix(3) - 3.0 * sp.eye(49)
     with pytest.raises(linalg.NotPositiveDefiniteError):
         linalg.CholeskyFactor(a)
-    with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.cholesky_solve(a, np.ones(49))
 
 
 def test_singular_semidefinite_matrix_raises():
@@ -95,19 +91,21 @@ def test_factor_solves_detail_gram():
 
 
 def test_shape_and_symmetry_validation():
-    with pytest.raises(ValueError):
-        linalg.cholesky_solve(sp.csr_matrix(np.ones((2, 3))), np.ones(2))
-    with pytest.raises(ValueError):
-        linalg.cholesky_solve(sp.csr_matrix(np.eye(3)), np.ones(2))
-    asym = np.array([[2.0, 1.0], [0.0, 2.0]])
-    with pytest.raises(ValueError):
-        linalg.cholesky_solve(sp.csr_matrix(asym), np.ones(2))
+    with pytest.raises(ValueError, match="square"):
+        linalg.CholeskyFactor(sp.csr_matrix(np.ones((2, 3))))
+    with pytest.raises(ValueError, match="does not match"):
+        linalg.CholeskyFactor(sp.csr_matrix(np.eye(3))).solve(np.ones(2))
+    # each has positive LU pivots, so only the symmetry check stops a wrong answer;
+    # the last is even positive definite (x^T A x = 4|x|^2) but not symmetric
+    for asym in ([[2.0, 1.0], [0.0, 2.0]], [[4.0, 1.0], [0.0, 4.0]], [[4.0, 3.0], [-3.0, 4.0]]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.CholeskyFactor(sp.csr_matrix(np.array(asym)))
 
 
 def test_cg_rejects_asymmetric_matrix():
-    asym = sp.csr_matrix(np.array([[4.0, 1.0], [0.0, 4.0]]))
-    with pytest.raises(ValueError, match="not symmetric"):
-        linalg.cg_solve(asym, np.ones(2))
+    for asym in ([[4.0, 1.0], [0.0, 4.0]], [[4.0, 3.0], [-3.0, 4.0]]):
+        with pytest.raises(ValueError, match="not symmetric"):
+            linalg.cg_solve(sp.csr_matrix(np.array(asym)), np.ones(2))
 
 
 def test_cg_matches_oracle():
@@ -165,7 +163,7 @@ def test_cg_preconditioned_matches_cholesky_on_detail_gram():
     b = np.cos(np.arange(a.shape[0], dtype=float))
     x, report = linalg.cg_solve(a, b, tol=1e-12)
     assert report.converged
-    direct, _ = linalg.cholesky_solve(a, b)
+    direct = linalg.CholeskyFactor(a).solve(b)
     np.testing.assert_allclose(x, direct, rtol=1e-8)
 
 
