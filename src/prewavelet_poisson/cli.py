@@ -34,6 +34,8 @@ def _max_level() -> int:
         cap = int(raw)
     except ValueError as exc:
         raise _ConfigError(f"PREWAVELET_MAX_LEVEL must be an integer, got {raw!r}") from exc
+    if cap < 1:
+        raise _ConfigError(f"PREWAVELET_MAX_LEVEL must be >= 1, got {cap}")
     return min(cap, _HARD_MAX_LEVEL)
 
 

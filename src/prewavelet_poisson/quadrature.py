@@ -5,16 +5,25 @@ Rules are stored in barycentric coordinates with weights summing to one, so
 the three edge midpoints and is exact for quadratic integrands; ``gauss7`` is
 the classic 7-point degree-5 rule used for error measurement.
 
-A hat function restricted to one triangle of its support equals the
-barycentric coordinate of the supporting vertex, which is why load vectors
-below need nothing beyond the rule's barycentric point table.  Because the
-level-``j`` triangulation is a uniform grid of congruent cells, every rule
-point of the lower (or upper) triangle sits at the same offset inside its
-cell.  ``_cell_points`` yields, per orientation and rule point, the
-``2^j x 2^j`` grid of such points; ``load_vector`` samples the source once on
-each, weights the samples into one grid of contributions per triangle
-vertex, and adds each grid into the node array with one shifted slice.  The
-error norms of :mod:`solver` sweep the same grids.
+``load_vector`` has two paths, chosen from the source alone:
+
+- A :class:`TabulatedFunction` on a grid no finer than the level ``j`` is
+  piecewise linear on the level-``j`` triangulation, so its Galerkin load is
+  exact without quadrature: the samples are interpolated up to level ``j``
+  by Type-1 midpoint refinement and the P1 mass stencil is applied with
+  shifted slices.  Every rule of degree >= 2 integrates that load exactly,
+  so the rule does not change the result.
+- Any other source (an analytic callable, a grid finer than ``j``) is
+  sampled by quadrature.  A hat function restricted to one triangle of its
+  support equals the barycentric coordinate of the supporting vertex, which
+  is why this path needs nothing beyond the rule's barycentric point table.
+  Because the level-``j`` triangulation is a uniform grid of congruent cells,
+  every rule point of the lower (or upper) triangle sits at the same offset
+  inside its cell.  ``_cell_points`` yields, per orientation and rule point,
+  the ``2^j x 2^j`` grid of such points; the source is sampled once on each,
+  the samples are weighted into one grid of contributions per triangle
+  vertex, and each grid is added into the node array with one shifted slice.
+  The error norms of :mod:`solver` sweep the same grids.
 """
 
 from __future__ import annotations
@@ -115,28 +124,78 @@ def _cell_points(j: int, rule: TriangleRule):
         )
 
 
+def _refine_nodal(v: np.ndarray) -> np.ndarray:
+    """Nodal values of a P1 function on the next finer Type-1 grid.
+
+    Each new node is the midpoint of a horizontal, vertical or
+    ``(+1, +1)``-diagonal edge and takes half of each endpoint (halved
+    before adding, so finite samples stay finite).
+    """
+    n = v.shape[0] - 1
+    half = 0.5 * v
+    fine = np.empty((2 * n + 1, 2 * n + 1))
+    fine[::2, ::2] = v
+    np.add(half[:, :-1], half[:, 1:], out=fine[::2, 1::2])
+    np.add(half[:-1, :], half[1:, :], out=fine[1::2, ::2])
+    np.add(half[:-1, :-1], half[1:, 1:], out=fine[1::2, 1::2])
+    return fine
+
+
+def _mass_load(j: int, tab: TabulatedFunction) -> np.ndarray:
+    """Exact level-``j`` load of a tabulated source on a grid of level <= j.
+
+    The source is P1 on the level-``j`` triangulation, so its load is the
+    mass matrix applied to its level-``j`` nodal values: ``1/(12 4^j)`` times
+    6 on the vertex and 1 on each of its six edge neighbours ``(+-1, 0)``,
+    ``(0, +-1)`` and ``+-(1, 1)``.  Samples are scaled before they are summed,
+    and the neighbours are added in opposite pairs, so a constant source gives
+    exactly ``4^-j``.
+    """
+    v = tab.values
+    for _ in range(tab.level, j):
+        v = _refine_nodal(v)
+    n = v.shape[0]
+    w = v * (1.0 / (12 * 4**j))
+
+    def shifted(dx: int, dy: int) -> np.ndarray:
+        return w[1 + dy : n - 1 + dy, 1 + dx : n - 1 + dx]
+
+    out = shifted(1, 0) + shifted(-1, 0)
+    pair = shifted(0, 1) + shifted(0, -1)
+    out += pair
+    out += np.add(shifted(1, 1), shifted(-1, -1), out=pair)
+    out += np.multiply(v[1:-1, 1:-1], 0.5 / 4**j, out=pair)  # 6 / 12 on the vertex
+    return out.ravel()
+
+
 def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     """Assemble the level-``j`` load vector of inner products with the hats.
 
-    Entry ``m`` approximates the integral of ``g`` times the hat function of
-    the interior vertex with ordinal ``m``: the six support triangles each
-    contribute ``area * sum_q w_q g(x_q) lambda(x_q)`` with ``lambda`` the
-    barycentric coordinate of the vertex.
+    Entry ``m`` is, exactly or by quadrature, the integral of ``g`` times the
+    hat function of the interior vertex with ordinal ``m``; the interior of
+    the ``(2^j + 1)^2`` node array, row-major, is the result.  For ``g == 1`` every entry is
+    ``4^-j`` (the volume of a hat).
 
-    The sum runs over cells rather than triangles.  For each triangle
-    orientation of :data:`mesh._CELL_OFFSETS` and each rule point, ``g`` is
-    called once with two ``(2^j, 2^j)`` arrays holding that point in every
-    cell, ``x[cy, cx] = (cx + px) 2^-j`` and ``y[cy, cx] = (cy + py) 2^-j``;
-    it may return an array of that shape or anything that broadcasts to it,
-    such as a scalar.  The weighted samples form one contribution grid per
-    triangle vertex, which lands on the ``(2^j + 1)^2`` node array shifted by
-    that vertex's offset; the interior of the node array, row-major, is the
-    result.
+    If ``g`` is a :class:`TabulatedFunction` whose grid level is at most
+    ``j`` and ``rule`` has degree >= 2, the load is exact and the rule does
+    not matter: it is the P1 mass matrix applied to the samples interpolated
+    up to level ``j``.
 
-    For ``g == 1`` every entry is ``4^-j`` (the volume of a hat).
+    Otherwise it is quadrature: the six support triangles each contribute
+    ``area * sum_q w_q g(x_q) lambda(x_q)`` with ``lambda`` the barycentric
+    coordinate of the vertex.  The sum runs over cells rather than
+    triangles.  For each triangle orientation of :data:`mesh._CELL_OFFSETS`
+    and each rule point, ``g`` is called once with two ``(2^j, 2^j)`` arrays
+    holding that point in every cell, ``x[cy, cx] = (cx + px) 2^-j`` and
+    ``y[cy, cx] = (cy + py) 2^-j``; it may return an array of that shape or
+    anything that broadcasts to it, such as a scalar.  The weighted samples
+    form one contribution grid per triangle vertex, which lands on the node
+    array shifted by that vertex's offset.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
+    if isinstance(g, TabulatedFunction) and g.level <= j and rule.degree >= 2:
+        return _mass_load(j, g)
     m = 2**j
     pts = rule.point_array()  # (Q, 3)
     # weight of point q's sample in the contribution to triangle vertex v

@@ -63,6 +63,14 @@ def test_solve_honors_level_cap(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("cap", ("0", "-3"))
+def test_solve_rejects_a_level_cap_below_one(tmp_path, monkeypatch, capsys, cap):
+    monkeypatch.setenv("PREWAVELET_MAX_LEVEL", cap)
+    code = cli.main(["solve", "--level", "1", "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert f"PREWAVELET_MAX_LEVEL must be >= 1, got {cap}" in capsys.readouterr().err
+
+
 def test_solve_rejects_unknown_problem(tmp_path, capsys):
     code = cli.main(
         ["solve", "--level", "2", "--problem", "nope", "--out", str(tmp_path / "x.csv")]

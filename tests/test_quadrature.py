@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from prewavelet_poisson import mesh, prewavelet, quadrature
+from prewavelet_poisson import assembly, mesh, prewavelet, quadrature
 
 
 def _moment(area: Fraction, p: int, q: int, r: int) -> float:
@@ -252,3 +252,75 @@ def test_tabulated_function_copies_its_samples():
     assert float(tab(0.5, 0.5)) == 0.0
     with pytest.raises(ValueError):
         tab.values[2, 2] = 1.0
+
+
+def _tab(m, seed=0):
+    return quadrature.TabulatedFunction(
+        np.random.default_rng([m, seed]).uniform(-1, 1, (2**m + 1, 2**m + 1))
+    )
+
+
+def _quadrature_load(j, tab, rule=quadrature.MID3):
+    # a plain callable hides the type, so load_vector samples the interpolant
+    return quadrature.load_vector(j, lambda x, y: tab(x, y), rule)
+
+
+def _max_rel(got, ref):
+    return np.max(np.abs(got - ref)) / np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("j", range(1, 7))
+def test_exact_tabulated_load_matches_quadrature(j):
+    # a grid no finer than j is P1 on the level-j mesh: both rules are exact
+    for m in range(j + 1):
+        tab = _tab(m, seed=j)
+        got = quadrature.load_vector(j, tab)
+        for rule in (quadrature.MID3, quadrature.GAUSS7):
+            assert np.array_equal(quadrature.load_vector(j, tab, rule), got)
+            assert _max_rel(got, _quadrature_load(j, tab, rule)) <= 1e-13
+
+
+def test_exact_tabulated_load_matches_quadrature_at_level_nine():
+    tab = _tab(9)
+    assert _max_rel(quadrature.load_vector(9, tab), _quadrature_load(9, tab)) <= 1e-13
+
+
+@pytest.mark.parametrize("j", range(1, 10))
+def test_exact_load_of_one_is_the_hat_volume(j):
+    for m in (0, j):
+        tab = quadrature.TabulatedFunction(np.ones((2**m + 1, 2**m + 1)))
+        f = quadrature.load_vector(j, tab)
+        assert f.shape == (mesh.n_interior(j),)
+        assert np.all(f == 4.0**-j)
+
+
+def test_finer_grid_and_degree_one_rule_stay_on_quadrature():
+    j = 3
+    finer = _tab(j + 1)
+    assert np.array_equal(quadrature.load_vector(j, finer), _quadrature_load(j, finer))
+    centroid = quadrature.TriangleRule("centroid", 1, ((1 / 3, 1 / 3, 1 / 3),), (1.0,))
+    tab = _tab(j)
+    got = quadrature.load_vector(j, tab, centroid)
+    assert np.array_equal(got, _quadrature_load(j, tab, centroid))
+
+
+@pytest.mark.parametrize("m, j", ((3, 3), (3, 5)))
+def test_exact_load_of_huge_samples_stays_finite(m, j):
+    # summing before scaling overflows, in the stencil and in the refinement
+    tab = quadrature.TabulatedFunction(np.full((2**m + 1, 2**m + 1), 1e308))
+    got = quadrature.load_vector(j, tab)
+    ref = _quadrature_load(j, tab)
+    assert np.all(np.isfinite(ref))
+    assert np.all(np.isfinite(got))
+    np.testing.assert_allclose(got, ref, rtol=1e-13)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_exact_loads_agree_across_levels(j):
+    # the level-j hats are combinations of level j+1 hats, so an exact load
+    # restricts onto the coarser exact load
+    for m in sorted({0, j // 2, j}):
+        tab = _tab(m, seed=j)
+        fine = quadrature.load_vector(j + 1, tab)
+        coarse = quadrature.load_vector(j, tab)
+        assert _max_rel(assembly.refinement_matrix(j) @ fine, coarse) <= 1e-14
