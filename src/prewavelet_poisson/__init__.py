@@ -6,11 +6,11 @@ level or as a coarse solve plus a ladder of H1-orthogonal detail (prewavelet)
 corrections whose sum reproduces the fine-level solution.
 """
 
-from .assembly import cross_level_gram, refinement_matrix, refinement_row, stiffness_matrix
+from .assembly import cross_level_gram, refinement_matrix, stiffness_matrix
 from .bench import BenchRecord, TestProblem, builtin_problems, run_benchmark
 from .homogenize import DirichletProblem, bilinear_lift, homogenize, reconstruct
 from .linalg import CholeskyFactor, NotPositiveDefiniteError, SolverReport, cg_solve
-from .mesh import GridIndex, Triangle, inverse_index, linear_index, n_interior, support_triangles, triangles
+from .mesh import n_interior
 from .prewavelet import (
     WaveletSpec,
     dimension_check,
@@ -19,7 +19,7 @@ from .prewavelet import (
     wavelet_gram,
     wavelet_matrix,
 )
-from .quadrature import GAUSS7, MID3, TabulatedFunction, TriangleRule, integrate, load_vector
+from .quadrature import GAUSS7, MID3, TabulatedFunction, TriangleRule, load_vector
 from .solver import (
     MultilevelSolution,
     export_solution_csv,
@@ -37,14 +37,12 @@ __all__ = [
     "CholeskyFactor",
     "DirichletProblem",
     "GAUSS7",
-    "GridIndex",
     "MID3",
     "MultilevelSolution",
     "NotPositiveDefiniteError",
     "SolverReport",
     "TabulatedFunction",
     "TestProblem",
-    "Triangle",
     "TriangleRule",
     "WaveletSpec",
     "bilinear_lift",
@@ -56,21 +54,15 @@ __all__ = [
     "fem_solve",
     "h1_error",
     "homogenize",
-    "integrate",
-    "inverse_index",
     "l2_error",
-    "linear_index",
     "load_vector",
     "multilevel_solve",
     "n_interior",
     "reconstruct",
     "refinement_matrix",
-    "refinement_row",
     "run_benchmark",
     "stiffness_matrix",
     "strip_wavelets",
-    "support_triangles",
-    "triangles",
     "verify_identity",
     "verify_orthogonality",
     "wavelet_gram",

@@ -1,9 +1,10 @@
 """Refinement and Galerkin matrices for the nested hat-function spaces.
 
-All matrices here follow the row-major interior-vertex ordering of
-:mod:`.mesh` and use the H1 seminorm inner product (integral of grad.grad).
-Every entry is a multiple of 1/2, so the floating-point values are exact and
-the identities between these matrices hold exactly, not just to rounding.
+Rows and columns number the interior vertices ``(i, k)`` of a level row by
+row, ``i`` fastest: ``(i, k)`` has ordinal ``(k - 1)(2^j - 1) + (i - 1)``.
+Inner products are the H1 seminorm (integral of grad.grad).  Every entry is
+a multiple of 1/2, so the floating-point values are exact and the
+identities between these matrices hold exactly, not just to rounding.
 
 Stencils (offsets are relative to the coarse vertex, fine offsets relative
 to its fine-grid image ``(2i, 2k)``):
@@ -24,8 +25,6 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import GridIndex
-
 _REFINE_STENCIL = {
     (0, 0): 1.0,
     (-1, 0): 0.5,
@@ -43,16 +42,6 @@ _STIFFNESS_STENCIL = {
     (0, -1): -1.0,
     (0, 1): -1.0,
 }
-
-
-def refinement_row(g: GridIndex) -> dict[tuple[int, int], float]:
-    """Coefficients of a coarse hat in the level ``j+1`` hat basis.
-
-    Keys are fine (i, k) pairs; all seven always lie in the fine interior,
-    and the coefficients sum to 4.
-    """
-    fi, fk = 2 * g.i, 2 * g.k
-    return {(fi + di, fk + dk): v for (di, dk), v in _REFINE_STENCIL.items()}
 
 
 def _stencil_matrix(j_row: int, j_col: int, stencil: dict[tuple[int, int], float]) -> sp.csr_matrix:

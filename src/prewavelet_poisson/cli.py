@@ -58,19 +58,21 @@ def _rule(name: str) -> quadrature.TriangleRule:
     return quadrature.RULES[name]
 
 
+def _is_finite_number(value) -> bool:
+    """Whether a parsed JSON value is a number that is a finite float.
+
+    Booleans and numeric strings are not numbers, and an integer beyond the
+    float range is not finite.
+    """
+    if type(value) is int:
+        return abs(value) <= sys.float_info.max
+    return type(value) is float and math.isfinite(value)
+
+
 def _corner_values(corners) -> tuple[float, ...]:
     """The ``corners`` entry of a problem file as four finite floats."""
-    if (
-        isinstance(corners, list)
-        and len(corners) == 4
-        and all(type(c) in (int, float) for c in corners)  # JSON numbers, not booleans
-    ):
-        try:
-            values = tuple(float(c) for c in corners)
-        except OverflowError:  # an integer beyond the float range
-            values = (math.inf,)
-        if all(math.isfinite(v) for v in values):
-            return values
+    if isinstance(corners, list) and len(corners) == 4 and all(map(_is_finite_number, corners)):
+        return tuple(float(c) for c in corners)
     raise _ConfigError(f"corners must be four finite numbers [a1, a2, a3, a4], got {corners!r}")
 
 
@@ -103,9 +105,15 @@ def _load_problem_file(path: str):
             )
         g = builtins[rhs].g
     elif isinstance(rhs, dict) and "values" in rhs:
+        values = rhs["values"]
+        if not (
+            isinstance(values, list)
+            and all(isinstance(row, list) and all(map(_is_finite_number, row)) for row in values)
+        ):
+            raise _ConfigError(f"rhs values in {path} must be rows of finite numbers")
         try:
-            g = quadrature.TabulatedFunction(rhs["values"])
-        except (TypeError, ValueError) as exc:
+            g = quadrature.TabulatedFunction(values)
+        except ValueError as exc:
             raise _ConfigError(f"bad tabulated rhs in {path}: {exc}") from exc
     else:
         raise _ConfigError(

@@ -97,14 +97,6 @@ def _evaluate(f, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return vals
 
 
-def integrate(tri: mesh.Triangle, f, rule: TriangleRule = MID3) -> float:
-    """Quadrature approximation of the integral of ``f`` over one triangle."""
-    coords = np.asarray(tri.coords)
-    pts = rule.point_array() @ coords
-    vals = _evaluate(f, pts[:, 0], pts[:, 1])
-    return float(tri.area * (rule.weight_array() @ vals))
-
-
 def _cell_points(j: int, rule: TriangleRule):
     """The points of ``rule`` in every cell of level ``j``, as coordinate grids.
 

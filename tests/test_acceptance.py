@@ -7,11 +7,11 @@ above what the build machine needs, to stay robust on slow runners.
 
 import math
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import oracle
 from prewavelet_poisson import assembly, bench, linalg, mesh, prewavelet, quadrature, solver
 from prewavelet_poisson.homogenize import DirichletProblem, homogenize, reconstruct
 
@@ -81,17 +81,6 @@ def test_criterion_04_splitting_identity():
     )
 
 
-def _grad_lambda(tri):
-    coords = [(Fraction(x), Fraction(y)) for (x, y) in tri.coords]
-    out = []
-    for a in range(3):
-        (bx, by), (cx, cy) = coords[(a + 1) % 3], coords[(a + 2) % 3]
-        (ax, ay) = coords[a]
-        two_area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        out.append(((by - cy) / two_area, (cx - bx) / two_area))
-    return out
-
-
 def test_criterion_05_stiffness_values():
     ok = True
     # the stencil itself, at every level
@@ -99,34 +88,18 @@ def test_criterion_05_stiffness_values():
         d = assembly.stiffness_matrix(j)
         n = 2**j - 1
         for row in range(mesh.n_interior(j)):
-            g = mesh.inverse_index(j, row)
+            i, k = oracle.vertex(j, row)
             vals = dict(zip(d.getrow(row).indices, d.getrow(row).data))
             ok &= vals.pop(row) == 4.0
             for di, dk in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                ii, kk = g.i + di, g.k + dk
+                ii, kk = i + di, k + dk
                 if 1 <= ii <= n and 1 <= kk <= n:
-                    col = mesh.linear_index(mesh.GridIndex(j, ii, kk))
-                    ok &= vals.pop(col) == -1.0
+                    ok &= vals.pop(oracle.ordinal(j, ii, kk)) == -1.0
             ok &= not vals  # nothing else stored: diagonal couplings are 0
         if not ok:
             break
     # independent quadrature oracle at j = 2: exact rational assembly
-    j = 2
-    nn = mesh.n_interior(j)
-    oracle = [[Fraction(0)] * nn for _ in range(nn)]
-    for tri in mesh.triangles(j):
-        grads = _grad_lambda(tri)
-        rows = []
-        for which, (i, k) in enumerate(tri.verts):
-            if 1 <= i < 2**j and 1 <= k < 2**j:
-                rows.append((mesh.linear_index(mesh.GridIndex(j, i, k)), which))
-        for r, a in rows:
-            for c, b in rows:
-                dot = grads[a][0] * grads[b][0] + grads[a][1] * grads[b][1]
-                oracle[r][c] += tri.area_exact * dot
-    dense = assembly.stiffness_matrix(j).toarray()
-    exact = np.array([[float(v) for v in row] for row in oracle])
-    ok &= np.array_equal(dense, exact)
+    ok &= np.array_equal(assembly.stiffness_matrix(2).toarray(), oracle.h1_gram(2, 2))
     _report(5, "stiffness stencil (4, -1, 0) exact and confirmed by quadrature oracle",
             bool(ok))
 

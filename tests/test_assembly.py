@@ -6,62 +6,32 @@ stencil tables are confirmed rather than assumed.  All matrices here hold
 dyadic rationals, so comparisons are exact.
 """
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
+import oracle
 from prewavelet_poisson import assembly, mesh
-
-
-def _grad_lambda(tri: mesh.Triangle):
-    """Exact barycentric gradients: grad l_a = perp(c - b) / (2A)."""
-    coords = [(Fraction(x), Fraction(y)) for (x, y) in tri.coords]
-    out = []
-    for a in range(3):
-        (bx, by), (cx, cy) = coords[(a + 1) % 3], coords[(a + 2) % 3]
-        (ax, ay) = coords[a]
-        two_area = (bx - ax) * (cy - ay) - (cx - ax) * (by - ay)
-        out.append(((by - cy) / two_area, (cx - bx) / two_area))
-    return out
-
-
-def _stiffness_oracle(j: int) -> np.ndarray:
-    n = mesh.n_interior(j)
-    k = [[Fraction(0)] * n for _ in range(n)]
-    for tri in mesh.triangles(j):
-        grads = _grad_lambda(tri)
-        rows = []
-        for which, (i, kk) in enumerate(tri.verts):
-            if 1 <= i < 2**j and 1 <= kk < 2**j:
-                rows.append((mesh.linear_index(mesh.GridIndex(j, i, kk)), which))
-        for r, a in rows:
-            for c, b in rows:
-                dot = grads[a][0] * grads[b][0] + grads[a][1] * grads[b][1]
-                k[r][c] += tri.area_exact * dot
-    return np.array([[float(v) for v in row] for row in k])
 
 
 @pytest.mark.parametrize("j", (1, 2, 3))
 def test_stiffness_matches_gradient_oracle(j):
     got = assembly.stiffness_matrix(j).toarray()
-    assert np.array_equal(got, _stiffness_oracle(j))
+    assert np.array_equal(got, oracle.h1_gram(j, j))
 
 
 def test_stiffness_stencil_frozen():
     assert assembly.stiffness_matrix(1).toarray().tolist() == [[4.0]]
     j = 3
     d = assembly.stiffness_matrix(j)
-    n = 2**j - 1
-    center = mesh.linear_index(mesh.GridIndex(j, 4, 4))
+    center = oracle.ordinal(j, 4, 4)
     row = d.getrow(center).toarray().ravel()
     assert row[center] == 4.0
     for di, dk, val in ((1, 0, -1.0), (-1, 0, -1.0), (0, 1, -1.0), (0, -1, -1.0)):
-        col = mesh.linear_index(mesh.GridIndex(j, 4 + di, 4 + dk))
+        col = oracle.ordinal(j, 4 + di, 4 + dk)
         assert row[col] == val
     # diagonal-direction couplings cancel exactly and are not stored
     for di, dk in ((1, 1), (-1, -1), (1, -1), (-1, 1)):
-        col = mesh.linear_index(mesh.GridIndex(j, 4 + di, 4 + dk))
+        col = oracle.ordinal(j, 4 + di, 4 + dk)
         assert row[col] == 0.0
     assert d.nnz == _count_axis_pairs(j)
 
@@ -86,57 +56,25 @@ def test_refinement_row_structure():
 
 
 def test_refinement_reproduces_coarse_hat_pointwise():
-    # the two-scale relation: a coarse hat equals its masked fine combination
+    # the two-scale relation: a coarse hat equals its row of fine hats
     rng = np.random.default_rng(11)
     for j, i, k in ((1, 1, 1), (2, 3, 1), (2, 2, 2)):
-        g = mesh.GridIndex(j, i, k)
-        row = assembly.refinement_row(g)
-        assert len(row) == 7
+        row = assembly.refinement_matrix(j).getrow(oracle.ordinal(j, i, k))
+        assert row.nnz == 7
+        fine_vertices = [oracle.vertex(j + 1, int(c)) for c in row.indices]
         for x, y in rng.uniform(0, 1, size=(100, 2)):
-            coarse = mesh.hat_value(g, x, y)
+            coarse = oracle.hat(j, i, k, x, y)
             fine = sum(
-                c * mesh.hat_value(mesh.GridIndex(j + 1, fi, fk), x, y)
-                for (fi, fk), c in row.items()
+                c * oracle.hat(j + 1, fi, fk, x, y)
+                for (fi, fk), c in zip(fine_vertices, row.data)
             )
             assert coarse == pytest.approx(fine, abs=1e-13)
-
-
-def _cross_gram_oracle(j: int) -> np.ndarray:
-    """H1 inner products of coarse hats against all fine hats, assembled on
-    the fine mesh: the coarse hat is affine on each fine triangle, with
-    gradient sum_v u_v grad l_v from its fine vertex values."""
-    n_coarse, n_fine_pts = mesh.n_interior(j), mesh.n_interior(j + 1)
-    out = [[Fraction(0)] * n_fine_pts for _ in range(n_coarse)]
-    fine = 2 ** (j + 1)
-    for tri in mesh.triangles(j + 1):
-        grads = _grad_lambda(tri)
-        fine_rows = []
-        for which, (fi, fk) in enumerate(tri.verts):
-            if 1 <= fi < fine and 1 <= fk < fine:
-                fine_rows.append(
-                    (mesh.linear_index(mesh.GridIndex(j + 1, fi, fk)), which)
-                )
-        for ci in range(1, 2**j):
-            for ck in range(1, 2**j):
-                cg = mesh.GridIndex(j, ci, ck)
-                vals = [
-                    Fraction(mesh.hat_value(cg, x, y)) for (x, y) in tri.coords
-                ]
-                if not any(vals):
-                    continue
-                gx = sum(v * gr[0] for v, gr in zip(vals, grads))
-                gy = sum(v * gr[1] for v, gr in zip(vals, grads))
-                crow = mesh.linear_index(cg)
-                for fr, b in fine_rows:
-                    dot = gx * grads[b][0] + gy * grads[b][1]
-                    out[crow][fr] += tri.area_exact * dot
-    return np.array([[float(v) for v in row] for row in out])
 
 
 @pytest.mark.parametrize("j", (1, 2))
 def test_cross_level_gram_matches_h1_oracle(j):
     got = assembly.cross_level_gram(j).toarray()
-    assert np.array_equal(got, _cross_gram_oracle(j))
+    assert np.array_equal(got, oracle.h1_gram(j, j + 1))
 
 
 @pytest.mark.parametrize("j", (1, 2, 3, 4))
@@ -154,13 +92,12 @@ def test_cross_level_gram_frozen_level_one():
 def test_cross_level_gram_interior_stencil_17_entries():
     j = 3
     g = assembly.cross_level_gram(j)
-    center = mesh.linear_index(mesh.GridIndex(j, 4, 4))
-    row = g.getrow(center)
+    row = g.getrow(oracle.ordinal(j, 4, 4))
     assert row.nnz == 17
     cols = {}
     for c, v in zip(row.indices, row.data):
-        fg = mesh.inverse_index(j + 1, int(c))
-        cols[(fg.i - 8, fg.k - 8)] = v
+        fi, fk = oracle.vertex(j + 1, int(c))
+        cols[(fi - 8, fk - 8)] = v
     assert cols[(0, 0)] == 2.0
     assert cols[(1, 1)] == 1.0 and cols[(-1, -1)] == 1.0
     for off in ((1, 0), (-1, 0), (0, 1), (0, -1)):

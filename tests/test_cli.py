@@ -140,6 +140,23 @@ def test_solve_rejects_non_finite_tabulated_rhs(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "values",
+    (
+        [[True, False, True], [0, 1, 0], ["1", "2", "3"]],
+        [[True, False, True], [0, 1, 0], [0, 1, 0]],
+        [[0, 1, 0], ["1", "2", "3"], [0, 1, 0]],
+        [[0, 1, 0], [0, 10**400, 0], [0, 1, 0]],
+        [1.0, 2.0, 3.0],
+    ),
+)
+def test_solve_rejects_tabulated_rhs_that_is_not_json_numbers(tmp_path, capsys, values):
+    code, out = _solve_file(tmp_path, {"name": "v", "rhs": {"values": values}})
+    assert code == 2
+    assert not out.exists()
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "corners",
     (
         "1.0", {"a1": 1.0}, 3.0, [1.0, "x", 0.0, 0.0], [1.0, None, 0.0, 0.0],

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import oracle
 from prewavelet_poisson import assembly, mesh, prewavelet, quadrature
 
 
@@ -26,45 +27,40 @@ def _moment(area: Fraction, p: int, q: int, r: int) -> float:
     return float(exact)
 
 
-def _bary_poly(tri: mesh.Triangle, p: int, q: int, r: int):
-    (x0, y0), (x1, y1), (x2, y2) = tri.coords
-    det = (x1 - x0) * (y2 - y0) - (x2 - x0) * (y1 - y0)
-
+def _bary_poly(coords, p: int, q: int, r: int):
     def f(x, y):
-        l1 = ((x - x0) * (y2 - y0) - (x2 - x0) * (y - y0)) / det
-        l2 = ((x1 - x0) * (y - y0) - (x - x0) * (y1 - y0)) / det
-        l0 = 1.0 - l1 - l2
+        l0, l1, l2 = oracle.barycentric(coords, x, y)
         return l0**p * l1**q * l2**r
 
     return f
 
 
-@pytest.mark.parametrize("tri", mesh.triangles(1)[:4])
+@pytest.mark.parametrize("tri", oracle.triangles(1)[:4])
 def test_mid3_integrates_degree_two(tri):
-    a = tri.area_exact
+    _, coords, a = tri
     for p, q, r in ((2, 0, 0), (1, 1, 0), (0, 1, 1), (1, 0, 1), (0, 2, 0)):
-        got = quadrature.integrate(tri, _bary_poly(tri, p, q, r), quadrature.MID3)
+        got = oracle.integrate(coords, a, _bary_poly(coords, p, q, r), quadrature.MID3)
         assert got == pytest.approx(_moment(a, p, q, r), rel=1e-13)
     # and the degree-0/1 cases: area and centroid coordinate
-    assert quadrature.integrate(tri, lambda x, y: 1.0, quadrature.MID3) == pytest.approx(
+    assert oracle.integrate(coords, a, lambda x, y: 1.0, quadrature.MID3) == pytest.approx(
         float(a), rel=1e-14
     )
 
 
-@pytest.mark.parametrize("tri", mesh.triangles(1)[:4])
+@pytest.mark.parametrize("tri", oracle.triangles(1)[:4])
 def test_gauss7_integrates_degree_five(tri):
-    a = tri.area_exact
+    _, coords, a = tri
     for p, q, r in ((5, 0, 0), (3, 2, 0), (2, 2, 1), (1, 1, 3), (4, 0, 1)):
-        got = quadrature.integrate(tri, _bary_poly(tri, p, q, r), quadrature.GAUSS7)
+        got = oracle.integrate(coords, a, _bary_poly(coords, p, q, r), quadrature.GAUSS7)
         assert got == pytest.approx(_moment(a, p, q, r), rel=1e-12)
 
 
 def test_integrate_linear_frozen_value():
     # int of x over the lower triangle of cell (0,0) at level 1:
     # vertices (0,0), (1/2,0), (1/2,1/2), area 1/8, centroid x = 1/3 -> 1/24
-    tri = mesh.triangles(1)[0]
-    assert tri.coords == ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5))
-    got = quadrature.integrate(tri, lambda x, y: x, quadrature.MID3)
+    _, coords, a = oracle.triangles(1)[0]
+    assert coords == ((0.0, 0.0), (0.5, 0.0), (0.5, 0.5))
+    got = oracle.integrate(coords, a, lambda x, y: x, quadrature.MID3)
     assert got == pytest.approx(1.0 / 24.0, rel=1e-14)
 
 
@@ -82,16 +78,12 @@ def test_load_vector_affine_rhs_against_moment_oracle():
     j = 2
     got = quadrature.load_vector(j, lambda x, y: x + y)
     expect = np.zeros(mesh.n_interior(j))
-    for t in mesh.triangles(j):
-        a = float(t.area_exact)
-        gv = [x + y for (x, y) in t.coords]
-        for which, (i, k) in enumerate(t.verts):
-            if not (1 <= i < 2**j and 1 <= k < 2**j):
-                continue
-            row = mesh.linear_index(mesh.GridIndex(j, i, k))
+    for verts, coords, area in oracle.triangles(j):
+        gv = [float(x + y) for (x, y) in coords]
+        for which, row in oracle.interior(j, verts):
             contrib = gv[which] / 6.0
             contrib += sum(gv[o] for o in range(3) if o != which) / 12.0
-            expect[row] += a * contrib
+            expect[row] += float(area) * contrib
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-16)
 
 
@@ -109,8 +101,8 @@ def test_detail_load_frozen():
     c = prewavelet.wavelet_matrix(2)
     row = c.getrow(0)
     assert dict(zip(row.indices.tolist(), row.data.tolist())) == {
-        mesh.linear_index(mesh.GridIndex(3, 1, 2)): 2.0,
-        mesh.linear_index(mesh.GridIndex(3, 1, 3)): 1.0,
+        oracle.ordinal(3, 1, 2): 2.0,
+        oracle.ordinal(3, 1, 3): 1.0,
     }
     detail = c @ quadrature.load_vector(3, lambda x, y: np.ones_like(x))
     assert detail.shape == (c.shape[0],)
@@ -144,13 +136,11 @@ def _oracle_load(j, g, rule):
     # per-triangle quadrature of g times each interior vertex's hat, which
     # equals that vertex's barycentric coordinate on the triangle
     out = np.zeros(mesh.n_interior(j))
-    for t in mesh.triangles(j):
-        for i, k in t.verts:
-            if not (1 <= i < 2**j and 1 <= k < 2**j):
-                continue
-            v = mesh.GridIndex(j, i, k)
-            out[mesh.linear_index(v)] += quadrature.integrate(
-                t, lambda x, y: g(x, y) * mesh.hat_value(v, x, y), rule
+    for verts, coords, area in oracle.triangles(j):
+        for which, row in oracle.interior(j, verts):
+            i, k = verts[which]
+            out[row] += oracle.integrate(
+                coords, area, lambda x, y: g(x, y) * oracle.hat(j, i, k, x, y), rule
             )
     return out
 

@@ -5,6 +5,7 @@ import io
 import numpy as np
 import pytest
 
+import oracle
 from prewavelet_poisson import assembly, bench, linalg, mesh, quadrature, solver
 
 
@@ -104,7 +105,7 @@ def _pl_gradient(j: int, coeffs: np.ndarray):
     n = 2**j - 1
     for k in range(1, n + 1):
         for i in range(1, n + 1):
-            nodal[(i, k)] = coeffs[mesh.linear_index(mesh.GridIndex(j, i, k))]
+            nodal[(i, k)] = coeffs[oracle.ordinal(j, i, k)]
 
     def value(i, k):
         return nodal.get((int(i), int(k)), 0.0)
@@ -155,7 +156,7 @@ def _nodal_on_triangles(j, coeffs):
     ix = verts[..., 0]
     iy = verts[..., 1]
     interior = (ix >= 1) & (ix <= n) & (iy >= 1) & (iy <= n)
-    lin = np.where(interior, (iy - 1) * n + (ix - 1), 0)
+    lin = np.where(interior, oracle.ordinal(j, ix, iy), 0)
     return np.where(interior, coeffs[lin], 0.0)
 
 
