@@ -108,37 +108,16 @@ class BenchRecord:
     l2_error: float
 
 
-_FIELDS = fields(BenchRecord)
-CSV_HEADER = ",".join(f.name for f in _FIELDS)
-# one parser per field annotation (strings, under postponed evaluation)
-_PARSERS = {
-    "str": str,
-    "int": int,
-    "float": float,
-    "float | None": lambda t: None if t == "" else float(t),
-}
-
-
 def write_csv(records: list[BenchRecord], f) -> None:
-    """Write records to the text stream ``f`` under the fixed CSV schema.
+    """Write records to the text stream ``f`` as CSV.
 
-    Floats are written via repr and a None tolerance as an empty field.
+    The header is the :class:`BenchRecord` field names; floats are written
+    via repr (so ``float`` reads them back exactly) and a None tolerance as
+    an empty field.
     """
     writer = csv.writer(f)
-    writer.writerow(CSV_HEADER.split(","))
+    writer.writerow(fd.name for fd in fields(BenchRecord))
     writer.writerows(astuple(r) for r in records)
-
-
-def read_csv(f) -> list[BenchRecord]:
-    """Parse records written by :func:`write_csv` from the text stream ``f``."""
-    reader = csv.reader(f)
-    header = next(reader)
-    if header != CSV_HEADER.split(","):
-        raise ValueError(f"unexpected header {header!r}")
-    return [
-        BenchRecord(*(_PARSERS[fd.type](v) for fd, v in zip(_FIELDS, row, strict=True)))
-        for row in reader
-    ]
 
 
 def _clear_caches() -> None:

@@ -158,7 +158,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         else:
             ladder = solver.multilevel_solve(level, g, rule=rule, solver=args.solver, tol=tol)
             coeffs = ladder.prolong()
-    except (linalg.NotPositiveDefiniteError, RuntimeError) as exc:
+    # ValueError: the load came out non-finite (the flags are checked above)
+    except (linalg.NotPositiveDefiniteError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_FAILURE
     seconds = time.perf_counter() - start

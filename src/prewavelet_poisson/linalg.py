@@ -108,7 +108,9 @@ def cg_solve(
     non-positive diagonal entry proves ``a`` is not positive definite and
     raises NotPositiveDefiniteError.  Iteration stops once the
     unpreconditioned recurrence residual satisfies ``||r|| <= tol * ||b||``
-    or after ``max_iter`` iterations (default ``10 n``).  Non-convergence
+    or after ``max_iter`` iterations (default ``10 n``).  A right-hand side
+    whose norm is not finite raises ValueError before any iteration; a
+    NaN in it would otherwise stall every residual test.  Non-convergence
     is signalled through ``report.converged``; the partial iterate is still
     returned.  The report carries the true final residual.
     """
@@ -126,6 +128,8 @@ def cg_solve(
         max_iter = 10 * n
     x = np.zeros(n)
     bnorm = float(np.linalg.norm(b))
+    if not np.isfinite(bnorm):
+        raise ValueError(f"right-hand side norm is {bnorm}, not finite")
     if bnorm == 0.0:
         return x, SolverReport(0, 0.0, True)
     d = a.diagonal()

@@ -34,14 +34,12 @@ from . import assembly, mesh
 class WaveletSpec:
     """One boundary-strip basis function, expanded in fine-level hats.
 
-    level is the coarse level ``j`` (the function lives in level ``j+1``);
     family is ``strip`` or ``global``.  position is the 180-degree image
     ``(2^j - i, 2^j - k)`` of the coarse position ``(i, k)`` for a mirrored
     closed-form row; the corner and global rows carry their seed fine vertex
     instead.  stencil maps fine ``(i, k)`` pairs to coefficients.
     """
 
-    level: int
     family: str
     position: tuple[int, int]
     stencil: dict[tuple[int, int], float]
@@ -127,22 +125,22 @@ def strip_wavelets(j: int) -> list[WaveletSpec]:
     for family, ii, kk in _family_positions(j):
         touch = np.minimum(ii, kk) <= 1
         out += [
-            WaveletSpec(j, "strip", (2**j - i, 2**j - k), mirrored(_family_stencil(family, i, k)))
+            WaveletSpec("strip", (2**j - i, 2**j - k), mirrored(_family_stencil(family, i, k)))
             for i, k in zip(ii[touch].tolist(), kk[touch].tolist())
         ]
     corners = [
         ((rows[-1][0], n + rows[-1][1]), {(i, n + dk): v for i, dk, v in rows})
         for rows in _CORNER_STENCILS
     ]
-    out += [WaveletSpec(j, "strip", seed, c) for seed, c in corners]
+    out += [WaveletSpec("strip", seed, c) for seed, c in corners]
     out += [
-        WaveletSpec(j, "strip", image(seed), mirrored(c))
+        WaveletSpec("strip", image(seed), mirrored(c))
         for seed, c in (corners if j > 1 else corners[2:4])
     ]
     glob = {(i, n): 1.0 for i in range(4, n, 2)}
     glob[(n, n)] = -0.5
     glob[(1, n - 1)] = 1.0
-    out.append(WaveletSpec(j, "global", (1, n - 1), glob))
+    out.append(WaveletSpec("global", (1, n - 1), glob))
     return out
 
 

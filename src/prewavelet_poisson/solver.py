@@ -8,11 +8,11 @@ solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
 the ladder with no detail levels (``base_level == top_level``).  Each
 system is factored once per level and cached, or solved by conjugate
-gradients.  Error norms are measured with the degree-5 rule regardless of
-the assembly rule, on the same cell grid as the load vector: the nodal
-values at each triangle vertex are shifted slices of one zero-bordered node
-array, and the discrete gradient comes from the barycentric gradients of the
-two reference triangles.
+gradients.  A non-finite load is rejected before any solve.  Error norms
+are measured with the degree-5 rule whatever the assembly rule, on the same
+cell grid as the load vector: the nodal values at each triangle vertex are
+shifted slices of one zero-bordered node array, and the discrete gradient
+comes from the barycentric gradients of the two reference triangles.
 """
 
 from __future__ import annotations
@@ -107,7 +107,8 @@ def multilevel_from_load(
     Coarser loads are restrictions of ``fine_load`` through the refinement
     matrices, so the ladder is exactly consistent: prolonging the result
     reproduces the direct solve against ``fine_load`` to solver precision,
-    and truncating a deeper ladder reproduces a shallower one exactly.
+    and truncating a deeper ladder reproduces a shallower one exactly.  A
+    load with NaN or infinite entries raises ValueError.
     """
     if not (1 <= base_level <= top_level):
         raise ValueError(f"need 1 <= base level <= top level, got {base_level}..{top_level}")
@@ -117,6 +118,9 @@ def multilevel_from_load(
         raise ValueError(
             f"load for level {top_level} must have length {expected}, got {fine_load.shape}"
         )
+    bad = expected - int(np.count_nonzero(np.isfinite(fine_load)))
+    if bad:
+        raise ValueError(f"load for level {top_level} has {bad} non-finite entries")
     loads = {top_level: fine_load}
     for j in range(top_level - 1, base_level - 1, -1):
         loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
@@ -177,18 +181,13 @@ def _cell_vertices(j: int, coeffs: np.ndarray, rule: quadrature.TriangleRule):
         yield offsets, [nodes[oy : oy + m, ox : ox + m] for ox, oy in offsets], points
 
 
-def h1_error(
-    j: int,
-    coeffs: np.ndarray,
-    du_dx,
-    du_dy,
-    rule: quadrature.TriangleRule = quadrature.GAUSS7,
-) -> float:
+def h1_error(j: int, coeffs: np.ndarray, du_dx, du_dy) -> float:
     """H1 seminorm distance between exact gradients and the nodal solution.
 
     The discrete gradient is constant per triangle; the exact gradient is
-    sampled with the given rule (degree 5 by default).
+    sampled with the degree-5 rule.
     """
+    rule = quadrature.GAUSS7
     total = 0.0
     for offsets, vertex, points in _cell_vertices(j, coeffs, rule):
         # barycentric gradients of the orientation's triangle, rows d/dx, d/dy
@@ -201,13 +200,10 @@ def h1_error(
     return float(np.sqrt(0.5 / 4**j * total))
 
 
-def l2_error(
-    j: int,
-    coeffs: np.ndarray,
-    u,
-    rule: quadrature.TriangleRule = quadrature.GAUSS7,
-) -> float:
-    """L2 distance between an exact solution and the nodal solution."""
+def l2_error(j: int, coeffs: np.ndarray, u) -> float:
+    """L2 distance between an exact solution and the nodal solution, with
+    the degree-5 rule."""
+    rule = quadrature.GAUSS7
     total = 0.0
     for _, vertex, points in _cell_vertices(j, coeffs, rule):
         for (x, y), bary, w in zip(points, rule.points, rule.weights):

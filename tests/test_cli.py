@@ -180,6 +180,23 @@ def test_solve_reports_non_finite_solution(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
+def test_solve_reports_non_finite_load_at_once(tmp_path, capsys):
+    # finite samples finer than the level whose interpolant overflows in the
+    # quadrature: the load is non-finite, so CG must not be started on it
+    side = 2**4 + 1
+    values = [[1e308 * (-1.0) ** (i + k) for i in range(side)] for k in range(side)]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"name": "big", "rhs": {"values": values}}))
+    out = tmp_path / "out.csv"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli.main(["solve", "--level", "2", "--problem", str(path), "--method", "fem",
+                         "--solver", "cg", "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "non-finite" in err
+
+
 def test_verify_passes(capsys):
     assert cli.main(["verify", "--level", "2"]) == 0
     out = capsys.readouterr().out
@@ -222,9 +239,10 @@ def test_bench_stdout_and_file(tmp_path, capsys):
     code = cli.main(["bench", "--levels", "2,3", "--problems", "sine",
                      "--reps", "1", "--out", str(out)])
     assert code == 0
-    records = bench.read_csv(out.open())
+    with out.open(newline="") as f:
+        records = list(csv.DictReader(f))
     assert len(records) == 4
-    levels = sorted({r.level for r in records})
+    levels = sorted({int(r["level"]) for r in records})
     assert levels == [2, 3]
     assert "fem" in capsys.readouterr().out
 

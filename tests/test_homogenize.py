@@ -39,6 +39,10 @@ def test_corner_values_compatible_and_not():
         top=lambda t: 1.0 + t,
         left=lambda t: t,
         right=lambda t: 1.0 + t,
+        bottom_dd=_zero,
+        top_dd=_zero,
+        left_dd=_zero,
+        right_dd=_zero,
     )
     assert corner_values(p) == pytest.approx((0.0, 1.0, 2.0, 1.0))
     bad = DirichletProblem(
@@ -47,6 +51,10 @@ def test_corner_values_compatible_and_not():
         top=lambda t: 1.0 + t,
         left=lambda t: t + 0.5,  # disagrees with bottom at (0,0)
         right=lambda t: 1.0 + t,
+        bottom_dd=_zero,
+        top_dd=_zero,
+        left_dd=_zero,
+        right_dd=_zero,
     )
     with pytest.raises(ValueError):
         corner_values(bad)
@@ -162,33 +170,15 @@ def test_involution_quadratic_traces():
     np.testing.assert_allclose(values, exact, rtol=1e-13)
 
 
-def test_fd_fallback_matches_analytic_dd():
-    pi = np.pi
-    analytic = DirichletProblem(
-        g=_zero,
-        bottom=lambda t: np.sin(pi * t),
-        top=_zero,
-        left=_zero,
-        right=_zero,
-        bottom_dd=lambda t: -(pi**2) * np.sin(pi * t),
-        top_dd=_zero,
-        left_dd=_zero,
-        right_dd=_zero,
-    )
-    fallback = DirichletProblem(
-        g=_zero,
-        bottom=lambda t: np.sin(pi * t),
-        top=_zero,
-        left=_zero,
-        right=_zero,
-    )
-    g1a, _ = homogenize(analytic)
-    with pytest.raises(ValueError):
-        homogenize(fallback)
-    g1b, _ = homogenize(fallback, fd_fallback=True)
-    xs = np.linspace(0.05, 0.95, 19)
-    X, Y = np.meshgrid(xs, xs)
-    np.testing.assert_allclose(g1b(X, Y), g1a(X, Y), atol=1e-4)
+def test_problem_without_trace_second_derivatives_is_rejected():
+    # all four *_dd are required: a missing one fails when the problem is built
+    with pytest.raises(TypeError):
+        DirichletProblem(g=_zero, bottom=_zero, top=_zero, left=_zero, right=_zero)
+    with pytest.raises(TypeError):
+        DirichletProblem(
+            g=_zero, bottom=_zero, top=_zero, left=_zero, right=_zero,
+            bottom_dd=_zero, top_dd=_zero, left_dd=_zero,
+        )
 
 
 def test_reconstruct_ordering():

@@ -147,6 +147,16 @@ def test_cg_non_convergence_reports_partial():
     assert np.any(x != 0.0)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_cg_rejects_non_finite_rhs(bad):
+    # without the check a NaN never meets the residual test and CG runs to max_iter
+    a = assembly.stiffness_matrix(3)
+    b = np.ones(a.shape[0])
+    b[5] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        linalg.cg_solve(a, b)
+
+
 def test_cg_tolerance_validation():
     a = assembly.stiffness_matrix(2)
     with pytest.raises(ValueError):
