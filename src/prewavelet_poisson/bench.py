@@ -127,6 +127,7 @@ def _clear_caches() -> None:
     prewavelet.wavelet_matrix.cache_clear()
     prewavelet.wavelet_gram.cache_clear()
     solver._factor.cache_clear()
+    solver._coarse.cache_clear()
 
 
 _METHODS = ("fem", "prewavelet")

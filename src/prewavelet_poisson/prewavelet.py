@@ -71,6 +71,32 @@ def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
 
 
+def aggregate_labels(j: int) -> np.ndarray:
+    """Coarse-space aggregate of every closed-form row of :func:`wavelet_matrix`.
+
+    Each family's positions are grouped into blocks of ``s`` positions per
+    axis, ``s = 2^max(0, j-3)``: runs of ``s`` along the edge for families
+    1-2, ``s x s`` squares for families 3-5.  So at most 8 blocks per axis
+    and per family, 208 aggregates in all.  Entry ``r`` is the aggregate of
+    row ``r``, numbered ``0..nl-1`` family by family; the strip rows that
+    follow the closed-form ones belong to no aggregate and have no entry.
+    Level 1 has no closed-form rows and gives an empty array.
+    """
+    s = 2 ** max(0, j - 3)
+    blocks = -(-(2**j - 2) // s)  # per axis: ceil(positions / s)
+    out, start = [], 0
+    for family, i, k in _family_positions(j):
+        if family == 1:
+            label, count = (k - 1) // s, blocks
+        elif family == 2:
+            label, count = (i - 1) // s, blocks
+        else:
+            label, count = (k - 1) // s * blocks + (i - 1) // s, blocks * blocks
+        out.append(start + label)
+        start += count
+    return np.concatenate(out)
+
+
 def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):
     n = 2 ** (j + 1) - 1
     return (np.asarray(k) - 1) * n + (np.asarray(i) - 1)

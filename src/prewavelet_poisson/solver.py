@@ -8,11 +8,13 @@ solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
 the ladder with no detail levels (``base_level == top_level``).  Each
 system is factored once per level and cached, or solved by conjugate
-gradients.  A non-finite load is rejected before any solve.  Error norms
-are measured with the degree-5 rule whatever the assembly rule, on the same
-cell grid as the load vector: the nodal values at each triangle vertex are
-shifted slices of one zero-bordered node array, and the discrete gradient
-comes from the barycentric gradients of the two reference triangles.
+gradients: Jacobi-preconditioned on the stiffness matrix, two-level (Jacobi
+plus a coarse correction, cached per level) on the detail Grams.  A
+non-finite load is rejected before any solve.  Error norms are measured
+with the degree-5 rule whatever the assembly rule, on the same cell grid as
+the load vector: the nodal values at each triangle vertex are shifted
+slices of one zero-bordered node array, and the discrete gradient comes
+from the barycentric gradients of the two reference triangles.
 """
 
 from __future__ import annotations
@@ -31,13 +33,22 @@ def _factor(system, j: int) -> linalg.CholeskyFactor:
     return linalg.CholeskyFactor(system(j))
 
 
+@lru_cache(maxsize=None)
+def _coarse(j: int) -> linalg.CoarseSpace:
+    """Coarse space of the level-``j`` detail Gram for two-level CG: the
+    closed-form rows in per-family position aggregates."""
+    return linalg.coarse_space(prewavelet.wavelet_gram(j), prewavelet.aggregate_labels(j))
+
+
 def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
     """Solve ``system(j) x = rhs``, where ``system`` is
-    ``assembly.stiffness_matrix`` or ``prewavelet.wavelet_gram``."""
+    ``assembly.stiffness_matrix`` or ``prewavelet.wavelet_gram``.  CG on a
+    detail Gram adds the coarse correction of :func:`_coarse`."""
     if solver == "direct":
         return _factor(system, j).solve(rhs)
     if solver == "cg":
-        x, report = linalg.cg_solve(system(j), rhs, tol=tol)
+        coarse = _coarse(j) if system is prewavelet.wavelet_gram else None
+        x, report = linalg.cg_solve(system(j), rhs, tol=tol, coarse=coarse)
         if not report.converged:
             raise RuntimeError(
                 f"cg stalled at relative residual {report.relative_residual:.3g} "

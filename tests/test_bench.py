@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from prewavelet_poisson import bench, mesh, quadrature, solver
+from prewavelet_poisson import assembly, bench, mesh, prewavelet, quadrature, solver
 
 
 def test_builtin_problem_names():
@@ -146,3 +146,19 @@ def test_speedup_summary_pairs_methods():
     lines = bench.speedup_summary(records)
     assert len(lines) == 1
     assert "sine" in lines[0] and "2.0" in lines[0]
+
+
+def test_clear_caches_empties_every_cache():
+    # a cold pass must rebuild everything, the CG coarse spaces included
+    g = bench.builtin_problems()["sine"].g
+    for name in ("direct", "cg"):
+        solver.multilevel_solve(3, g, solver=name, tol=1e-8)
+    prewavelet.verify_orthogonality(2)
+    caches = [
+        f for m in (assembly, prewavelet, solver) for f in vars(m).values()
+        if hasattr(f, "cache_info")
+    ]
+    assert solver._coarse in caches
+    assert all(c.cache_info().currsize for c in caches)
+    bench._clear_caches()
+    assert [c for c in caches if c.cache_info().currsize] == []

@@ -201,3 +201,66 @@ def test_cg_detail_iterations_at_level_six():
     # about 735: every strip row but the global one has at most four fine
     # entries, so the strip no longer dominates the Gram's conditioning
     assert _detail_cg_iterations(6) <= 800
+
+
+@pytest.mark.parametrize("max_iter", (0, -5))
+def test_cg_rejects_max_iter_below_one(max_iter):
+    # without the check CG returned zeros as "not converged after 0 iterations"
+    a = assembly.stiffness_matrix(2)
+    with pytest.raises(ValueError, match="max_iter"):
+        linalg.cg_solve(a, np.ones(a.shape[0]), max_iter=max_iter)
+
+
+def _coarse(j: int) -> linalg.CoarseSpace:
+    return linalg.coarse_space(prewavelet.wavelet_gram(j), prewavelet.aggregate_labels(j))
+
+
+@pytest.mark.parametrize("j", (2, 3, 4, 5))
+def test_coarse_matrix_is_the_sparse_galerkin_product(j):
+    a = prewavelet.wavelet_gram(j)
+    labels = prewavelet.aggregate_labels(j)
+    nl = int(labels.max()) + 1
+    rows = np.arange(len(labels))
+    z = sp.csr_matrix((np.ones(len(labels)), (rows, labels)), shape=(a.shape[0], nl))
+    e = (z.T @ a @ z).toarray()
+    # every Gram entry is dyadic, so the sums are exact in any order
+    assert np.array_equal(linalg._galerkin(a, labels), e)
+    inverse = _coarse(j).inverse
+    assert np.array_equal(inverse, inverse.T)
+    np.testing.assert_allclose(inverse @ e, np.eye(nl), atol=1e-9)
+
+
+def test_two_level_cg_matches_cholesky_on_detail_gram():
+    a = prewavelet.wavelet_gram(5)
+    b = np.cos(np.arange(a.shape[0], dtype=float))
+    x, report = linalg.cg_solve(a, b, tol=1e-12, coarse=_coarse(5))
+    assert report.converged
+    np.testing.assert_allclose(x, linalg.CholeskyFactor(a).solve(b), rtol=1e-8)
+    true_rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
+    assert report.relative_residual == pytest.approx(true_rel, rel=1e-6, abs=1e-15)
+
+
+@pytest.mark.parametrize(("j", "bound"), ((4, 130), (5, 200), (6, 330)))
+def test_two_level_cg_detail_iterations(j, bound):
+    # Jacobi alone takes about 188, 363 and 735; the coarse space about 122, 186, 306
+    g = bench.builtin_problems()["sine"].g
+    a = prewavelet.wavelet_gram(j)
+    b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
+    _, report = linalg.cg_solve(a, b, tol=1e-10, coarse=_coarse(j))
+    assert report.converged
+    assert report.iterations <= bound
+
+
+def test_cg_rejects_coarse_space_that_does_not_fit():
+    a = prewavelet.wavelet_gram(4)
+    b = np.ones(a.shape[0])
+    own = _coarse(4)
+    bad = {
+        "do not fit": _coarse(5),  # 2760 labels for a matrix of 736 rows
+        "must lie in": linalg.CoarseSpace(own.labels, own.inverse[:100, :100]),
+    }
+    for message, coarse in bad.items():
+        with pytest.raises(ValueError, match=message):
+            linalg.cg_solve(a, b, coarse=coarse)
+    with pytest.raises(ValueError, match="must lie in"):
+        linalg.cg_solve(a, b, coarse=linalg.CoarseSpace(own.labels - 1, own.inverse))

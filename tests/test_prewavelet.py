@@ -348,3 +348,21 @@ def test_wavelet_matrix_rows_are_the_basis_stencils(j):
         for (fi, fk), v in w.stencil.items():
             ref[r, oracle.ordinal(j + 1, fi, fk)] = v
     assert np.array_equal(prewavelet.wavelet_matrix(j).toarray()[-len(strips) :], ref)
+
+
+@pytest.mark.parametrize("j", range(1, 9))
+def test_aggregates_partition_the_closed_form_rows(j):
+    # the two-level CG coarse space: one aggregate per family and s x s block of
+    # positions, s = 2^max(0, j-3), so at most 8 blocks per axis and family
+    labels = prewavelet.aggregate_labels(j)
+    positions = _closed_form_positions(j)
+    detail_rows = mesh.n_interior(j + 1) - mesh.n_interior(j)
+    # one label per closed-form row; the strip and global rows that follow get none
+    assert len(labels) == len(positions) == detail_rows - len(prewavelet.strip_wavelets(j))
+    s = 2 ** max(0, j - 3)
+    blocks = {}
+    for label, (family, i, k) in zip(labels.tolist(), positions):
+        blocks.setdefault((family, (i - 1) // s, (k - 1) // s), set()).add(label)
+    assert all(len(found) == 1 for found in blocks.values())
+    assert sorted(set(labels.tolist())) == list(range(len(blocks)))
+    assert len(blocks) <= 208

@@ -254,6 +254,34 @@ def test_cg_ladder_matches_direct_fem():
     assert np.max(np.abs(ladder - direct)) / np.max(np.abs(direct)) <= 10 * tol
 
 
+def test_cg_ladder_matches_direct_fem_at_level_six():
+    g = bench.builtin_problems()["sine"].g
+    tol = 1e-10
+    direct = solver.fem_solve(6, g)
+    ladder = solver.multilevel_solve(6, g, solver="cg", tol=tol).prolong()
+    assert np.max(np.abs(ladder - direct)) / np.max(np.abs(direct)) <= 10 * tol
+
+
+def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
+    calls = []
+    cg_solve = linalg.cg_solve
+
+    def recording(a, b, tol=1e-10, max_iter=None, coarse=None):
+        calls.append((a.shape[0], coarse))
+        return cg_solve(a, b, tol, max_iter, coarse)
+
+    monkeypatch.setattr(linalg, "cg_solve", recording)
+    solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
+    # the stiffness solve at level 1, then the detail Grams of j = 1, 2, 3
+    assert [n for n, _ in calls] == [1, 8, 40, 176]
+    assert calls[0][1] is None
+    for j, (_, coarse) in zip((1, 2, 3), calls[1:]):
+        assert coarse is solver._coarse(j)
+    calls.clear()
+    solver.multilevel_solve(4, bench.builtin_problems()["sine"].g)
+    assert calls == []
+
+
 def test_export_solution_csv():
     j = 2
     coeffs = np.arange(9, dtype=float) / 7.0
