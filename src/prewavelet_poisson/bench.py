@@ -121,13 +121,11 @@ def write_csv(records: list[BenchRecord], f) -> None:
 
 
 def _clear_caches() -> None:
-    assembly.refinement_matrix.cache_clear()
-    assembly.stiffness_matrix.cache_clear()
-    assembly.cross_level_gram.cache_clear()
-    prewavelet.wavelet_matrix.cache_clear()
-    prewavelet.wavelet_gram.cache_clear()
-    solver._factor.cache_clear()
-    solver._coarse.cache_clear()
+    """Empty every ``lru_cache`` of the modules a pass runs."""
+    for module in (assembly, linalg, mesh, prewavelet, quadrature, solver):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()
 
 
 _METHODS = ("fem", "prewavelet")

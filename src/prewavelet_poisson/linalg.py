@@ -15,9 +15,9 @@ Gram's diagonal (from 8 up to ``2^{j+2} - 2`` on the global row).  Given a
 by ``CholeskyFactor`` and held as its dense inverse: a two-level
 preconditioner that removes the smooth, sign-constant error modes Jacobi
 leaves behind.  Either way it stops on the unpreconditioned relative
-residual.  Both reject a matrix that is not square and symmetric with
-ValueError, so neither hands back the solution of a system that cannot be
-SPD.
+residual.  Both reject a matrix that is not square and symmetric, or has
+non-finite entries, with ValueError, so neither hands back the solution of
+a system that cannot be SPD.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ def _check_matrix(a: sp.csr_matrix) -> None:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = np.max(np.abs(a.data)) if a.nnz else 0.0
+    if not np.isfinite(scale):
+        raise ValueError("matrix has non-finite entries")
     skew = a - a.T
     asym = np.max(np.abs(skew.data)) if skew.nnz else 0.0
     if asym > 1e-10 * max(scale, 1.0):
@@ -71,7 +73,8 @@ class CholeskyFactor:
     so ``A`` is positive definite exactly when the row and column orders
     agree and every diagonal entry of ``U`` is positive; anything else
     raises NotPositiveDefiniteError, as does an exactly singular factor.  A
-    matrix that is not square and symmetric raises ValueError first.
+    matrix that is not square and symmetric, or has non-finite entries,
+    raises ValueError first.
     """
 
     def __init__(self, a) -> None:

@@ -216,7 +216,7 @@ def verify_orthogonality(j: int) -> float:
     Exactly zero for the basis rows, whose coefficients are all dyadic.
     """
     r = assembly.cross_level_gram(j) @ wavelet_matrix(j).T
-    return float(np.max(np.abs(r.toarray()))) if r.nnz else 0.0
+    return float(np.max(np.abs(r.data))) if r.nnz else 0.0
 
 
 def dimension_check(j: int, n: int) -> tuple[int, int]:

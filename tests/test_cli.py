@@ -221,14 +221,12 @@ def test_verify_perturbation_is_caught(monkeypatch, capsys):
         q[0, 0] += 1.0
         return q.tocsr()
 
-    prewavelet.wavelet_gram.cache_clear()
-    solver._factor.cache_clear()
+    bench._clear_caches()
     monkeypatch.setattr(prewavelet, "wavelet_matrix", broken)
     try:
         assert cli.main(["verify", "--level", "3"]) == 1
     finally:
-        prewavelet.wavelet_gram.cache_clear()
-        solver._factor.cache_clear()
+        bench._clear_caches()
     out = capsys.readouterr().out
     for check in ("orthogonality", "identity", "equivalence"):
         assert f"FAIL {check} j=" in out
@@ -265,3 +263,20 @@ def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
     flags = [f.format(missing=tmp_path / "missing") for f in flags]
     assert cli.main(["bench", "--levels", "2", "--problems", "sine", *flags]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+def test_bench_records_a_failed_solve_and_exits_three(tmp_path, capsys):
+    # no residual meets a tolerance of 1e-300, so CG stalls and _pass raises;
+    # the combination is recorded with NaN fields instead of ending the sweep
+    out = tmp_path / "bench.csv"
+    code = cli.main(["bench", "--levels", "3", "--problems", "sine",
+                     "--method", "prewavelet", "--solver", "cg",
+                     "--tolerances", "1e-300", "--reps", "1", "--out", str(out)])
+    assert code == 3
+    assert "some combinations failed" in capsys.readouterr().err
+    with out.open(newline="") as f:
+        (record,) = list(csv.DictReader(f))
+    assert (record["method"], record["solver"], record["level"]) == ("prewavelet", "cg", "3")
+    assert float(record["tolerance"]) == 1e-300
+    for field in ("assemble_s", "solve_s", "total_s", "h1_error", "l2_error"):
+        assert np.isnan(float(record[field]))

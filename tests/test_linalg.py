@@ -157,6 +157,22 @@ def test_cg_rejects_non_finite_rhs(bad):
         linalg.cg_solve(a, b)
 
 
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_factor_rejects_non_finite_matrix(bad):
+    # a NaN or inf makes the asymmetry NaN or inf - inf, which no threshold test catches
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.CholeskyFactor(sp.csr_matrix(np.array([[4.0, bad], [bad, 4.0]])))
+
+
+@pytest.mark.parametrize("bad", (np.nan, np.inf))
+def test_cg_rejects_non_finite_matrix(bad):
+    # without the check a NaN on the diagonal stalls CG until max_iter
+    a = assembly.stiffness_matrix(3).copy()
+    a[5, 5] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        linalg.cg_solve(a, np.ones(a.shape[0]))
+
+
 def test_cg_tolerance_validation():
     a = assembly.stiffness_matrix(2)
     with pytest.raises(ValueError):

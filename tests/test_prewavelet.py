@@ -6,6 +6,7 @@ its own independent oracle in test_assembly.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -229,6 +230,26 @@ def test_basis_size_and_exact_orthogonality(j):
     rows = prewavelet.wavelet_matrix(j).shape[0]
     assert rows == mesh.n_interior(j + 1) - mesh.n_interior(j)
     assert prewavelet.verify_orthogonality(j) == 0.0
+
+
+def test_orthogonality_check_stays_sparse(monkeypatch):
+    # one changed coefficient c[0, col] += 1/2 leaves M C^T = 1/2 M[:, col] e_0^T,
+    # and the check must find its max without the dense 3969 x 12160 product
+    j = 6
+    c = prewavelet.wavelet_matrix(j).copy()
+    col = c.indices[0]
+    c.data[0] += 0.5
+    expected = 0.5 * np.max(np.abs(assembly.cross_level_gram(j)[:, [col]].toarray()))
+    assert expected > 0.0
+    monkeypatch.setattr(prewavelet, "wavelet_matrix", lambda level: c)
+    tracemalloc.start()
+    try:
+        worst = prewavelet.verify_orthogonality(j)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert worst == expected
+    assert peak < 64 * 2**20
 
 
 @pytest.mark.parametrize("j", (1, 2, 3, 4))
