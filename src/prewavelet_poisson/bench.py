@@ -1,29 +1,24 @@
-"""Built-in test problems and the timing harness.
+"""Built-in test problems and the accuracy table.
 
-Timed passes rebuild everything from scratch (caches cleared), separate
-assembly from solve time, and take medians over repetitions after one
-discarded warm-up pass.  The prewavelet method is timed cumulatively over
-its whole ladder, construction included, because that is how the
-multiresolution sweep is used.  FEM is the same ladder with no detail
-levels, so for both methods the solve phase is the library's own
-``solver.multilevel_from_load`` and prolongation.  Errors are measured
-afterwards, outside the timed region, with the degree-5 rule.  A failed
-solve is recorded with NaN in the timing and error fields rather than
-aborting the sweep.
+Per problem, solver setting and level, the load is assembled once and the
+prewavelet ladder is solved on it from level 1.  The table records the H1
+and L2 errors of the prolonged ladder (degree-5 rule), their observed rates
+against the previous level of the run, and ``ladder_vs_fem``: the max-norm
+relative difference from direct FEM (``fem_solve``) on the same load.  A
+failed solve is recorded with NaN fields rather than aborting the sweep.
+Speed is measured by ``perfbench``, not here.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import statistics
-import time
 from dataclasses import astuple, dataclass, fields
 from typing import Callable
 
 import numpy as np
 
-from . import assembly, linalg, mesh, prewavelet, quadrature, solver
+from . import linalg, mesh, quadrature, solver
 
 
 @dataclass(frozen=True)
@@ -93,19 +88,22 @@ def builtin_problems() -> dict[str, TestProblem]:
 
 @dataclass
 class BenchRecord:
-    """One benchmark combination; tolerance is None for direct solves."""
+    """One row of the accuracy table; tolerance is None for direct solves.
+
+    The rates are ``log2(e_prev / e) / (level - prev_level)`` against the
+    previous level of the run, NaN on its first level.
+    """
 
     problem: str
-    method: str
     solver: str
     level: int
     tolerance: float | None
     unknowns: int
-    assemble_s: float
-    solve_s: float
-    total_s: float
     h1_error: float
     l2_error: float
+    h1_rate: float
+    l2_rate: float
+    ladder_vs_fem: float
 
 
 def write_csv(records: list[BenchRecord], f) -> None:
@@ -120,90 +118,42 @@ def write_csv(records: list[BenchRecord], f) -> None:
     writer.writerows(astuple(r) for r in records)
 
 
-def _clear_caches() -> None:
-    """Empty every ``lru_cache`` of the modules a pass runs."""
-    for module in (assembly, linalg, mesh, prewavelet, quadrature, solver):
-        for f in vars(module).values():
-            if hasattr(f, "cache_clear"):
-                f.cache_clear()
-
-
-_METHODS = ("fem", "prewavelet")
-
-
-def _pass(problem, level, method, solver_name, tol, rule):
-    """One cold pass: (assemble seconds, solve seconds, nodal coefficients).
-
-    FEM is the ladder with no detail levels, so both methods time the
-    library's ``multilevel_from_load`` and prolongation.
-    """
-    base = level if method == "fem" else 1
-    _clear_caches()
-    t0 = time.perf_counter()
-    rhs = quadrature.load_vector(level, problem.g, rule)
-    # build the cached matrices here, so the solve phase is the ladder alone
-    assembly.stiffness_matrix(base)
-    for j in range(base, level):
-        assembly.refinement_matrix(j)
-        prewavelet.wavelet_matrix(j)
-        prewavelet.wavelet_gram(j)
-    t1 = time.perf_counter()
-    coeffs = solver.multilevel_from_load(
-        level, rhs, base_level=base, solver=solver_name, tol=tol
-    ).prolong()
-    t2 = time.perf_counter()
-    return t1 - t0, t2 - t1, coeffs
-
-
-def _run_combo(problem, level, method, solver_name, tol, rule, repetitions):
-    """One record; a failed solve gives NaN timings and errors."""
+def _accuracy(problem, level, solver_name, tol, rule):
+    """``(h1_error, l2_error, ladder_vs_fem)`` of the ladder from level 1;
+    all three NaN when a solve fails."""
+    load = quadrature.load_vector(level, problem.g, rule)
     try:
-        _pass(problem, level, method, solver_name, tol, rule)  # warm-up, discarded
-        assemble, solve_t, total = [], [], []
-        coeffs = None
-        for _ in range(repetitions):
-            a_s, s_s, coeffs = _pass(problem, level, method, solver_name, tol, rule)
-            assemble.append(a_s)
-            solve_t.append(s_s)
-            total.append(a_s + s_s)
-        measured = (
-            statistics.median(assemble),
-            statistics.median(solve_t),
-            statistics.median(total),
-            solver.h1_error(level, coeffs, problem.du_dx, problem.du_dy),
-            solver.l2_error(level, coeffs, problem.u),
-        )
+        ladder = solver.multilevel_from_load(level, load, solver=solver_name, tol=tol).prolong()
+        fem = solver.multilevel_from_load(level, load, base_level=level).coarse
     except (linalg.NotPositiveDefiniteError, RuntimeError):
-        measured = (float("nan"),) * 5
-    return BenchRecord(
-        problem.name,
-        method,
-        solver_name,
-        level,
-        None if solver_name == "direct" else tol,
-        mesh.n_interior(level),
-        *measured,
+        return (math.nan,) * 3
+    return (
+        solver.h1_error(level, ladder, problem.du_dx, problem.du_dy),
+        solver.l2_error(level, ladder, problem.u),
+        float(np.max(np.abs(ladder - fem)) / np.max(np.abs(fem))),
     )
 
 
 def run_benchmark(
     problems: list[TestProblem] | None = None,
     levels: tuple[int, ...] = (4, 5, 6),
-    methods: tuple[str, ...] = _METHODS,
     solvers: tuple[str, ...] = ("direct",),
     tolerances: tuple[float, ...] = (),
-    repetitions: int = 3,
     rule: quadrature.TriangleRule = quadrature.MID3,
 ) -> list[BenchRecord]:
-    """Time every combination, one after another, and return one record each.
+    """The accuracy table: one record per problem, solver setting and level,
+    with levels ascending.
 
-    Combinations are problems x levels x methods x solver settings, where
-    direct contributes one setting and cg one per tolerance.
+    Direct contributes one solver setting and cg one per tolerance.  The
+    levels must be distinct and at least 1.
     """
     if problems is None:
         problems = list(builtin_problems().values())
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    levels = sorted(levels)
+    if levels and levels[0] < 1:
+        raise ValueError(f"level must be >= 1, got {levels[0]}")
+    if len(set(levels)) < len(levels):
+        raise ValueError(f"levels must be distinct, got {levels}")
     settings = []
     for s in solvers:
         if s == "direct":
@@ -214,41 +164,18 @@ def run_benchmark(
             settings.extend(("cg", t) for t in tolerances)
         else:
             raise ValueError(f"solver must be 'direct' or 'cg', got {s!r}")
-    combos = [
-        (p, level, m, s, t)
-        for p in problems
-        for level in levels
-        for m in methods
-        for (s, t) in settings
-    ]
-    for _, level, m, _, _ in combos:
-        if m not in _METHODS:
-            raise ValueError(f"method must be one of {sorted(_METHODS)}, got {m!r}")
-        if level < 1:
-            raise ValueError(f"level must be >= 1, got {level}")
-    records = [
-        _run_combo(p, level, m, s, t, rule, repetitions)
-        for (p, level, m, s, t) in combos
-    ]
-    _clear_caches()
+    records = []
+    for p in problems:
+        for s, t in settings:
+            prev = None
+            for level in levels:
+                h1, l2, agreement = _accuracy(p, level, s, t, rule)
+                rates = (math.nan, math.nan) if prev is None else (
+                    math.log2(prev.h1_error / h1) / (level - prev.level),
+                    math.log2(prev.l2_error / l2) / (level - prev.level),
+                )
+                prev = BenchRecord(
+                    p.name, s, level, t, mesh.n_interior(level), h1, l2, *rates, agreement
+                )
+                records.append(prev)
     return records
-
-
-def speedup_summary(records: list[BenchRecord]) -> list[str]:
-    """Direct-FEM vs cumulative-prewavelet total time per problem and level."""
-    lines = []
-    by_key = {}
-    for r in records:
-        by_key[(r.problem, r.level, r.method, r.solver, r.tolerance)] = r
-    seen = sorted({(r.problem, r.level, r.solver, r.tolerance) for r in records})
-    for problem, level, solver_name, tol in seen:
-        fem = by_key.get((problem, level, "fem", solver_name, tol))
-        pre = by_key.get((problem, level, "prewavelet", solver_name, tol))
-        if fem is None or pre is None:
-            continue
-        ratio = fem.total_s / pre.total_s if pre.total_s else math.inf
-        lines.append(
-            f"{problem} level {level} ({solver_name}): "
-            f"fem {fem.total_s:.6f}s / prewavelet {pre.total_s:.6f}s = {ratio:.3f}"
-        )
-    return lines

@@ -246,8 +246,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     levels = _parse_list("--levels", args.levels, int)
     for level in levels:
         _check_level(level)
-    if args.reps < 1:
-        raise _ConfigError(f"--reps must be >= 1, got {args.reps}")
+    if len(set(levels)) < len(levels):
+        raise _ConfigError(f"--levels must not repeat a level, got {args.levels!r}")
     builtins = bench.builtin_problems()
     names = [t.strip() for t in args.problems.split(",")]
     unknown = [n for n in names if n not in builtins]
@@ -256,7 +256,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"unknown problems {unknown}: choose from {', '.join(sorted(builtins))}"
         )
     problems = [builtins[n] for n in names]
-    methods = ("fem", "prewavelet") if args.method == "both" else (args.method,)
     tolerances = ()
     if args.solver == "cg":
         tolerances = tuple(
@@ -265,10 +264,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     records = bench.run_benchmark(
         problems=problems,
         levels=levels,
-        methods=methods,
         solvers=(args.solver,),
         tolerances=tolerances,
-        repetitions=args.reps,
         rule=_rule(args.quad),
     )
     if args.out:
@@ -276,12 +273,21 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"wrote {len(records)} records -> {args.out}")
     else:
         bench.write_csv(records, sys.stdout)
-    for line in bench.speedup_summary(records):
-        print(line)
-    if any(np.isnan(r.total_s) for r in records):
+    if any(math.isnan(r.ladder_vs_fem) for r in records):
         print("some combinations failed (NaN rows)", file=sys.stderr)
         return NUMERICAL_FAILURE
-    return OK
+    # the bounds perfbench checks: 1e-9 for direct solves, 10 tol for CG
+    apart = [
+        r for r in records
+        if r.ladder_vs_fem > (1e-9 if r.tolerance is None else 10.0 * r.tolerance)
+    ]
+    for r in apart:
+        print(
+            f"ladder differs from FEM: {r.problem} level {r.level} ({r.solver}), "
+            f"ladder_vs_fem {r.ladder_vs_fem:.3e}",
+            file=sys.stderr,
+        )
+    return VERIFY_FAILED if apart else OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,15 +320,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_verify.set_defaults(fn=_cmd_verify)
 
-    p_bench = sub.add_parser("bench", help="run the timing harness and write CSV records")
+    p_bench = sub.add_parser(
+        "bench", help="write the accuracy table: errors, rates and ladder vs FEM per level"
+    )
     p_bench.add_argument("--levels", default="4,5,6", help="comma-separated levels")
     p_bench.add_argument("--problems", default="sine,poly,exp", help="comma-separated names")
-    p_bench.add_argument("--method", choices=("fem", "prewavelet", "both"), default="both")
     p_bench.add_argument("--solver", choices=("direct", "cg"), default="direct")
     p_bench.add_argument(
         "--tolerances", default="1e-8", help="comma-separated cg tolerances (cg only)"
     )
-    p_bench.add_argument("--reps", type=int, default=3, help="timed repetitions per combination")
     p_bench.add_argument("--quad", choices=tuple(quadrature.RULES), default="mid3")
     p_bench.add_argument("--out", default=None, help="output CSV path (default: stdout)")
     p_bench.set_defaults(fn=_cmd_bench)

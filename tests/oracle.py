@@ -5,7 +5,8 @@ vertices in grid units, scaled by ``Fraction(1, 2**j)`` so that coordinates,
 areas and barycentric gradients are exact rationals.  The interior vertex
 ``(i, k)`` has the row-major ordinal ``(k - 1)(2^j - 1) + (i - 1)``, and its
 hat function has the closed form of :func:`hat`, which ``test_mesh`` pins
-against the barycentric evaluator.
+against the barycentric evaluator.  :func:`clear_caches` resets the
+package's per-level caches, for tests that swap a module function.
 """
 
 from fractions import Fraction
@@ -13,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from prewavelet_poisson import mesh, quadrature
+from prewavelet_poisson import assembly, linalg, mesh, prewavelet, quadrature, solver
 
 
 def ordinal(j, i, k):
@@ -107,3 +108,11 @@ def h1_gram(jr, j):
             for b, col in cols:
                 out[row][col] += area * (gx * grads[b][0] + gy * grads[b][1])
     return np.array([[float(v) for v in row] for row in out])
+
+
+def clear_caches():
+    """Empty every ``lru_cache`` of the package's modules."""
+    for module in (assembly, linalg, mesh, prewavelet, quadrature, solver):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear"):
+                f.cache_clear()

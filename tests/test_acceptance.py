@@ -154,20 +154,18 @@ def test_criterion_08_cg_direct_agreement():
 
 
 def test_criterion_09_benchmark_report():
-    records = bench.run_benchmark(
-        problems=[bench.builtin_problems()["sine"]],
-        levels=(6,), methods=("fem", "prewavelet"), solvers=("direct",),
-        repetitions=1,
+    (record,) = bench.run_benchmark(
+        problems=[bench.builtin_problems()["sine"]], levels=(6,), solvers=("direct",)
     )
-    by_method = {r.method: r for r in records}
-    fem_t = by_method["fem"].total_s
-    pre_t = by_method["prewavelet"].total_s
-    ok = math.isfinite(fem_t) and math.isfinite(pre_t) and fem_t > 0 and pre_t > 0
-    ratio = fem_t / pre_t if ok else float("nan")
-    print(f"benchmark J=6: fem {fem_t:.3f}s, prewavelet {pre_t:.3f}s, "
-          f"ratio fem/prewavelet = {ratio:.3f} (informational)")
-    _report(9, "J = 6 benchmark records both methods and prints the ratio", ok,
-            f"ratio {ratio:.3f}")
+    ok = (
+        math.isfinite(record.h1_error)
+        and math.isfinite(record.l2_error)
+        and record.ladder_vs_fem <= 1e-9
+    )
+    _report(9, "J = 6 benchmark record has finite errors and the ladder matches FEM "
+            "within 1e-9", ok,
+            f"h1 {record.h1_error:.3e}, l2 {record.l2_error:.3e}, "
+            f"ladder vs fem {record.ladder_vs_fem:.2e}")
 
 
 def test_criterion_10_homogenization_round_trip():

@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from prewavelet_poisson import assembly, bench, mesh, prewavelet, quadrature, solver
+import oracle
+from prewavelet_poisson import assembly, bench, mesh, prewavelet, solver
 
 
 def test_builtin_problem_names():
@@ -68,9 +69,10 @@ def test_zero_boundary_traces():
 
 
 def test_csv_round_trip():
+    nan = float("nan")
     records = [
-        bench.BenchRecord("sine", "fem", "direct", 3, None, 49, 0.1, 0.2, 0.3, 1.5, 0.05),
-        bench.BenchRecord("exp", "prewavelet", "cg", 4, 1e-9, 225, 0.4, 0.5, 0.9, 0.7, 0.01),
+        bench.BenchRecord("sine", "direct", 3, None, 49, 1.5, 0.05, nan, nan, 1e-15),
+        bench.BenchRecord("exp", "cg", 4, 1e-9, 225, 0.7, 0.01, 0.98, 1.97, 3e-10),
     ]
     buf = io.StringIO()
     bench.write_csv(records, buf)
@@ -79,77 +81,104 @@ def test_csv_round_trip():
     assert rows[0] == [fd.name for fd in dataclasses.fields(bench.BenchRecord)]
     assert len(rows) == 1 + len(records)
     # None tolerance serializes as an empty field
-    assert rows[1][4] == ""
+    assert rows[1][3] == ""
     for row, record in zip(rows[1:], records):
         for text, value in zip(row, dataclasses.astuple(record)):
             if isinstance(value, float):
-                # repr-written floats read back exactly
-                assert float(text) == value
+                # repr-written floats read back exactly, NaN as NaN
+                assert float(text) == value or (math.isnan(value) and math.isnan(float(text)))
             elif value is not None:
                 assert text == str(value)
 
 
 def test_run_benchmark_structure():
     problems = [bench.builtin_problems()["sine"]]
-    records = bench.run_benchmark(
-        problems=problems, levels=(2, 3), methods=("fem", "prewavelet"),
-        solvers=("direct",), repetitions=1,
-    )
-    assert len(records) == 4
+    records = bench.run_benchmark(problems=problems, levels=(3, 2), solvers=("direct",))
+    # one record per level, levels ascending
+    assert [r.level for r in records] == [2, 3]
     for r in records:
         assert r.problem == "sine"
+        assert r.solver == "direct"
         assert r.unknowns == mesh.n_interior(r.level)
-        assert r.total_s > 0.0
         assert r.tolerance is None
-        assert math.isfinite(r.h1_error)
-    # both methods solve the same discrete problem, so errors agree
-    by_key = {(r.method, r.level): r for r in records}
-    for level in (2, 3):
-        fem = by_key[("fem", level)]
-        pre = by_key[("prewavelet", level)]
-        assert fem.h1_error == pytest.approx(pre.h1_error, rel=1e-9)
+        assert math.isfinite(r.h1_error) and math.isfinite(r.l2_error)
+        assert r.ladder_vs_fem <= 1e-9
+    # rates are against the previous level of the run, none on the first
+    assert math.isnan(records[0].h1_rate) and math.isnan(records[0].l2_rate)
+    assert records[1].h1_rate == math.log2(records[0].h1_error / records[1].h1_error)
+    assert records[1].l2_rate == math.log2(records[0].l2_error / records[1].l2_error)
 
 
 def test_run_benchmark_cg_needs_tolerances():
     with pytest.raises(ValueError):
         bench.run_benchmark(
             problems=[bench.builtin_problems()["poly"]],
-            levels=(2,), methods=("fem",), solvers=("cg",), tolerances=(),
-            repetitions=1,
+            levels=(2,), solvers=("cg",), tolerances=(),
         )
+
+
+def test_run_benchmark_rejects_a_repeated_level():
+    with pytest.raises(ValueError, match="distinct"):
+        bench.run_benchmark(problems=[bench.builtin_problems()["poly"]], levels=(3, 2, 3))
 
 
 def test_run_benchmark_cg_records_tolerance():
     records = bench.run_benchmark(
         problems=[bench.builtin_problems()["poly"]],
-        levels=(2,), methods=("fem",), solvers=("cg",),
-        tolerances=(1e-8, 1e-10), repetitions=1,
+        levels=(2,), solvers=("cg",), tolerances=(1e-8, 1e-10),
     )
     assert [r.tolerance for r in records] == [1e-8, 1e-10]
+    for r in records:
+        assert r.ladder_vs_fem <= 10 * r.tolerance
 
 
 @pytest.mark.parametrize("solver_name, tol", [("direct", None), ("cg", 1e-10)])
-def test_fem_pass_times_the_library_solve(solver_name, tol):
-    # the timed FEM pass is the library's fem_solve, bit for bit
+def test_fem_reference_is_the_library_solve(solver_name, tol):
+    # the table's ladder is the library's multilevel_solve and its FEM
+    # reference is fem_solve (direct whatever the ladder's solver), bit for bit
     sine = bench.builtin_problems()["sine"]
-    _, _, coeffs = bench._pass(sine, 5, "fem", solver_name, tol, quadrature.MID3)
+    (record,) = bench.run_benchmark(
+        problems=[sine], levels=(5,), solvers=(solver_name,), tolerances=(tol,)
+    )
     kwargs = {} if tol is None else {"solver": solver_name, "tol": tol}
-    expected = solver.fem_solve(5, sine.g, **kwargs)
-    assert np.array_equal(coeffs, expected)
+    ladder = solver.multilevel_solve(5, sine.g, **kwargs).prolong()
+    fem = solver.fem_solve(5, sine.g)
+    assert record.ladder_vs_fem == np.max(np.abs(ladder - fem)) / np.max(np.abs(fem))
+    assert record.h1_error == solver.h1_error(5, ladder, sine.du_dx, sine.du_dy)
+    assert record.l2_error == solver.l2_error(5, ladder, sine.u)
 
 
-def test_speedup_summary_pairs_methods():
-    records = [
-        bench.BenchRecord("sine", "fem", "direct", 3, None, 49, 0.1, 0.2, 0.3, 1.0, 0.1),
-        bench.BenchRecord("sine", "prewavelet", "direct", 3, None, 49, 0.1, 0.05, 0.15, 1.0, 0.1),
-    ]
-    lines = bench.speedup_summary(records)
-    assert len(lines) == 1
-    assert "sine" in lines[0] and "2.0" in lines[0]
+@pytest.fixture(scope="module")
+def sine_table():
+    """The direct accuracy table of the sine problem, levels 3..7."""
+    return bench.run_benchmark(problems=[bench.builtin_problems()["sine"]], levels=range(3, 8))
+
+
+def test_sine_table_shows_the_paper_rates(sine_table):
+    # O(h) in H1 and O(h^2) in L2, and the ladder equal to FEM at every level
+    for r in sine_table[1:]:
+        assert 0.9 <= r.h1_rate <= 1.1, r
+        assert 1.8 <= r.l2_rate <= 2.2, r
+    assert all(r.ladder_vs_fem <= 1e-9 for r in sine_table)
+
+
+def test_rates_divide_by_the_level_gap(sine_table):
+    # over a gap of two levels the rate is the mean of the two one-level
+    # rates, not their sum
+    by_level = {r.level: r for r in sine_table}
+    records = bench.run_benchmark(problems=[bench.builtin_problems()["sine"]], levels=(3, 5, 7))
+    for r in records:
+        assert (r.h1_error, r.l2_error) == (by_level[r.level].h1_error, by_level[r.level].l2_error)
+    for r in records[1:]:
+        one_level = [by_level[j] for j in (r.level - 1, r.level)]
+        assert r.h1_rate == pytest.approx(sum(x.h1_rate for x in one_level) / 2, rel=1e-12)
+        assert r.l2_rate == pytest.approx(sum(x.l2_rate for x in one_level) / 2, rel=1e-12)
+        assert 0.9 <= r.h1_rate <= 1.1 and 1.8 <= r.l2_rate <= 2.2
 
 
 def test_clear_caches_empties_every_cache():
-    # a cold pass must rebuild everything, the CG coarse spaces included
+    # a test that swaps a module function must rebuild everything, the CG
+    # coarse spaces included
     g = bench.builtin_problems()["sine"].g
     for name in ("direct", "cg"):
         solver.multilevel_solve(3, g, solver=name, tol=1e-8)
@@ -160,5 +189,5 @@ def test_clear_caches_empties_every_cache():
     ]
     assert solver._coarse in caches
     assert all(c.cache_info().currsize for c in caches)
-    bench._clear_caches()
+    oracle.clear_caches()
     assert [c for c in caches if c.cache_info().currsize] == []

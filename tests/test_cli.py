@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from prewavelet_poisson import bench, cli, mesh, prewavelet, solver
 
 
@@ -211,9 +212,8 @@ def test_verify_single_check(capsys):
     assert "identity" not in out
 
 
-def test_verify_perturbation_is_caught(monkeypatch, capsys):
-    # one corrupted stencil entry per level must fail every check that reads
-    # the detail basis, through the library path each check really uses
+def _corrupt_wavelet_matrix(monkeypatch):
+    """One corrupted stencil entry per level, seen by every later call."""
     original = prewavelet.wavelet_matrix
 
     def broken(j):
@@ -221,28 +221,53 @@ def test_verify_perturbation_is_caught(monkeypatch, capsys):
         q[0, 0] += 1.0
         return q.tocsr()
 
-    bench._clear_caches()
+    oracle.clear_caches()
     monkeypatch.setattr(prewavelet, "wavelet_matrix", broken)
+
+
+def test_verify_perturbation_is_caught(monkeypatch, capsys):
+    # one corrupted stencil entry per level must fail every check that reads
+    # the detail basis, through the library path each check really uses
+    _corrupt_wavelet_matrix(monkeypatch)
     try:
         assert cli.main(["verify", "--level", "3"]) == 1
     finally:
-        bench._clear_caches()
+        oracle.clear_caches()
     out = capsys.readouterr().out
     for check in ("orthogonality", "identity", "equivalence"):
         assert f"FAIL {check} j=" in out
 
 
+def test_bench_exits_one_when_the_ladder_leaves_fem(monkeypatch, capsys):
+    # a corrupted detail basis still gives an SPD Gram, so every solve
+    # succeeds; only the agreement with FEM can catch it
+    _corrupt_wavelet_matrix(monkeypatch)
+    try:
+        assert cli.main(["bench", "--levels", "3", "--problems", "sine"]) == 1
+    finally:
+        oracle.clear_caches()
+    captured = capsys.readouterr()
+    (record,) = list(csv.DictReader(captured.out.splitlines()))
+    assert float(record["ladder_vs_fem"]) > 1e-9
+    assert "ladder differs from FEM: sine level 3" in captured.err
+
+
 def test_bench_stdout_and_file(tmp_path, capsys):
+    flags = ["bench", "--levels", "2,3", "--problems", "sine"]
+    assert cli.main(flags) == 0
+    stdout = capsys.readouterr().out
     out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--levels", "2,3", "--problems", "sine",
-                     "--reps", "1", "--out", str(out)])
-    assert code == 0
-    with out.open(newline="") as f:
-        records = list(csv.DictReader(f))
-    assert len(records) == 4
-    levels = sorted({int(r["level"]) for r in records})
-    assert levels == [2, 3]
-    assert "fem" in capsys.readouterr().out
+    assert cli.main([*flags, "--out", str(out)]) == 0
+    assert "wrote 2 records" in capsys.readouterr().out
+    text = out.read_text()
+    # the same table either way, under the accuracy header
+    assert text.splitlines() == stdout.splitlines()
+    assert text.splitlines()[0] == (
+        "problem,solver,level,tolerance,unknowns,h1_error,l2_error,h1_rate,l2_rate,ladder_vs_fem"
+    )
+    records = list(csv.DictReader(text.splitlines()))
+    assert [int(r["level"]) for r in records] == [2, 3]
+    assert float(records[1]["ladder_vs_fem"]) <= 1e-9
 
 
 def test_bench_rejects_unknown_problem(capsys):
@@ -253,10 +278,10 @@ def test_bench_rejects_unknown_problem(capsys):
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--reps", "0"],
+        ["--levels", "3,2,3"],
         ["--levels", "2,x"],
         ["--solver", "cg", "--tolerances", "1e-8,x"],
-        ["--reps", "1", "--out", "{missing}/x.csv"],
+        ["--out", "{missing}/x.csv"],
     ],
 )
 def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
@@ -266,17 +291,16 @@ def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
 
 
 def test_bench_records_a_failed_solve_and_exits_three(tmp_path, capsys):
-    # no residual meets a tolerance of 1e-300, so CG stalls and _pass raises;
-    # the combination is recorded with NaN fields instead of ending the sweep
+    # no residual meets a tolerance of 1e-300, so CG stalls; the combination
+    # is recorded with NaN fields instead of ending the sweep
     out = tmp_path / "bench.csv"
-    code = cli.main(["bench", "--levels", "3", "--problems", "sine",
-                     "--method", "prewavelet", "--solver", "cg",
-                     "--tolerances", "1e-300", "--reps", "1", "--out", str(out)])
+    code = cli.main(["bench", "--levels", "3", "--problems", "sine", "--solver", "cg",
+                     "--tolerances", "1e-300", "--out", str(out)])
     assert code == 3
     assert "some combinations failed" in capsys.readouterr().err
     with out.open(newline="") as f:
         (record,) = list(csv.DictReader(f))
-    assert (record["method"], record["solver"], record["level"]) == ("prewavelet", "cg", "3")
+    assert (record["solver"], record["level"]) == ("cg", "3")
     assert float(record["tolerance"]) == 1e-300
-    for field in ("assemble_s", "solve_s", "total_s", "h1_error", "l2_error"):
+    for field in ("h1_error", "l2_error", "h1_rate", "l2_rate", "ladder_vs_fem"):
         assert np.isnan(float(record[field]))
