@@ -118,6 +118,14 @@ def write_csv(records: list[BenchRecord], f) -> None:
     writer.writerows(astuple(r) for r in records)
 
 
+def relative_difference(x: np.ndarray, ref: np.ndarray) -> float:
+    """Max-norm difference of ``x`` from ``ref``, relative to ``ref``'s max
+    norm; the absolute difference when ``ref`` is zero."""
+    diff = float(np.max(np.abs(x - ref)))
+    scale = float(np.max(np.abs(ref)))
+    return diff / scale if scale else diff
+
+
 def _accuracy(problem, level, solver_name, tol, rule):
     """``(h1_error, l2_error, ladder_vs_fem)`` of the ladder from level 1;
     all three NaN when a solve fails."""
@@ -130,7 +138,7 @@ def _accuracy(problem, level, solver_name, tol, rule):
     return (
         solver.h1_error(level, ladder, problem.du_dx, problem.du_dy),
         solver.l2_error(level, ladder, problem.u),
-        float(np.max(np.abs(ladder - fem)) / np.max(np.abs(fem))),
+        relative_difference(ladder, fem),
     )
 
 

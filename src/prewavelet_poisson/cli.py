@@ -225,9 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for j in range(1, min(level, 5) + 1):
             ladder = solver.multilevel_solve(j + 1, g)
             direct = solver.fem_solve(j + 1, g)
-            diff = float(np.max(np.abs(ladder.prolong() - direct)))
-            scale = float(np.max(np.abs(direct)))
-            rel = diff / scale if scale else diff
+            rel = bench.relative_difference(ladder.prolong(), direct)
             ok &= _print_check(
                 f"equivalence j={j}", rel <= 1e-9, f"relative difference {rel:.3e}"
             )

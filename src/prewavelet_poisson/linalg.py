@@ -11,17 +11,19 @@ only), whose fill follows the sparsity rather than the bandwidth.
 the inverse diagonal (Jacobi), which evens out the spread of the detail
 Gram's diagonal (from 8 up to ``2^{j+2} - 2`` on the global row).  Given a
 ``CoarseSpace`` it adds a coarse correction, ``M = D^-1 + Z E^-1 Z^T`` with
-``Z`` a 0/1 aggregation of the leading rows and ``E = Z^T A Z`` factored
-by ``CholeskyFactor`` and held as its dense inverse: a two-level
-preconditioner that removes the smooth, sign-constant error modes Jacobi
-leaves behind.  Either way it stops on the unpreconditioned relative
-residual.  Both reject a matrix that is not square and symmetric, or has
-non-finite entries, with ValueError, so neither hands back the solution of
-a system that cannot be SPD.
+``Z`` a sparse basis of the coarse space (for the detail Grams, signed
+aggregates that cover the near-kernel and the boundary strip) and
+``E = Z^T A Z`` kept sparse and factored by ``CholeskyFactor``: a
+two-level preconditioner that removes the smooth error modes Jacobi leaves
+behind.  Either way it stops on the unpreconditioned relative residual,
+and its inner products and norms bypass BLAS.  Both reject a matrix that
+is not square and symmetric, or has non-finite entries, with ValueError,
+so neither hands back the solution of a system that cannot be SPD.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,52 +108,34 @@ class CholeskyFactor:
 
 @dataclass(frozen=True)
 class CoarseSpace:
-    """Aggregation coarse space for :func:`cg_solve`.
+    """Coarse space for :func:`cg_solve`.
 
-    Row ``r < len(labels)`` of the matrix lies in aggregate ``labels[r]``;
-    the rows after those lie in none.  With ``Z`` the 0/1 matrix of that map,
-    inverse is the dense ``E^-1`` of ``E = Z^T A Z``, one row and column per
-    aggregate.
+    basis is the sparse ``n x nc`` matrix ``Z`` whose columns span the
+    coarse space; factor is the :class:`CholeskyFactor` of the Galerkin
+    matrix ``E = Z^T A Z``.
     """
 
-    labels: np.ndarray
-    inverse: np.ndarray
+    basis: sp.csr_matrix
+    factor: CholeskyFactor
 
 
-def _galerkin(a: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
-    """Dense ``E = Z^T A Z`` for the aggregates ``labels`` of the leading
-    rows of ``a``, gathered from the CSR entries of those rows with one
-    ``bincount``, without copying the matrix."""
-    m = len(labels)
-    nl = int(labels.max()) + 1 if m else 0
-    # entries in columns past the labels land in an extra column, nl, dropped below
-    col = np.full(a.shape[0], nl)
-    col[:m] = labels
-    end = a.indptr[m]
-    key = np.repeat(labels * (nl + 1), np.diff(a.indptr[: m + 1]))
-    key += col[a.indices[:end]]
-    e = np.bincount(key, weights=a.data[:end], minlength=nl * (nl + 1))
-    return e.reshape(nl, nl + 1)[:, :nl]
+def coarse_space(a, basis) -> CoarseSpace:
+    """The Galerkin coarse space of ``a`` spanned by the columns of ``basis``.
 
-
-def coarse_space(a, labels) -> CoarseSpace:
-    """The Galerkin coarse space of ``a`` for aggregates ``labels``.
-
-    labels numbers the aggregates ``0..nl-1`` with every number used, so
-    ``E = Z^T A Z`` is SPD when ``a`` is.  ``E`` is factored by
-    :class:`CholeskyFactor`, which proves it SPD, and kept as its
-    symmetrized dense inverse: ``nl^2`` doubles, where SuperLU's workspace
-    for the factor holds several times that.
+    ``E = Z^T A Z`` is SPD when ``a`` is and ``Z`` has full column rank;
+    it is kept sparse and factored by :class:`CholeskyFactor`, which proves
+    it SPD.  For the detail Gram at ``j = 6`` and its 587-column signed
+    aggregation basis the factor holds about 18k entries.
     """
-    labels = np.asarray(labels)
-    factor = CholeskyFactor(_galerkin(_as_csr(a), labels))
-    # one unit vector at a time: SuperLU's many-right-hand-side solve runs
-    # threaded BLAS, about 20x slower on two threads than on one at nl = 208
-    inverse = np.array([factor.solve(unit) for unit in np.eye(factor.n)])
-    inverse = inverse.reshape(factor.n, factor.n)
-    inverse += inverse.T
-    inverse *= 0.5
-    return CoarseSpace(labels, inverse)
+    z = sp.csr_matrix(basis, dtype=float)
+    return CoarseSpace(z, CholeskyFactor(z.T @ _as_csr(a) @ z))
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """``u . v`` summed by NumPy's own loops: OpenBLAS threads ``ddot`` on
+    long vectors, and the first threaded call in a fresh process can stall
+    for about a second."""
+    return float(np.einsum("i,i->", u, v))
 
 
 def cg_solve(
@@ -166,17 +150,20 @@ def cg_solve(
     The preconditioner is the inverse of the diagonal of ``a`` (Jacobi); a
     non-positive diagonal entry proves ``a`` is not positive definite and
     raises NotPositiveDefiniteError.  With a ``coarse`` space it is the
-    two-level ``D^-1 + Z E^-1 Z^T``, still SPD, whose coarse part costs one
-    sum over each aggregate, one product with the dense ``E^-1`` and one
-    scatter per iteration; a coarse space whose labels run past the matrix
-    or past the size of its inverse raises ValueError.  Iteration stops
-    once the unpreconditioned recurrence residual satisfies
-    ``||r|| <= tol * ||b||`` or after ``max_iter`` iterations (default
-    ``10 n``; below 1 raises ValueError).  A right-hand side whose norm is
+    two-level ``D^-1 + Z E^-1 Z^T``, still SPD, whose coarse part costs a
+    product with ``Z^T``, one solve with the sparse factor of ``E`` and a
+    product with ``Z`` per iteration; a coarse basis without one row per
+    row of ``a``, or with another number of columns than its factor has
+    unknowns, raises ValueError.  Iteration stops once the unpreconditioned
+    recurrence residual satisfies ``||r|| <= tol * ||b||``, after
+    ``max_iter`` iterations (default ``10 n``; below 1 raises ValueError),
+    or when ``p^T A p`` is not positive, so that no step can make progress
+    (the search direction has underflowed).  A right-hand side whose norm is
     not finite raises ValueError before any iteration; a NaN in it would
     otherwise stall every residual test.  Non-convergence
     is signalled through ``report.converged``; the partial iterate is still
-    returned.  The report carries the true final residual.
+    returned.  The report carries the true final residual.  Inner products
+    and norms go through :func:`_dot`, not BLAS.
     """
     a = _as_csr(a)
     b = np.asarray(b, dtype=float)
@@ -193,19 +180,19 @@ def cg_solve(
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if coarse is not None:
-        labels = coarse.labels
-        if labels.ndim != 1 or len(labels) > n:
+        nc = coarse.factor.n
+        if coarse.basis.shape[0] != n:
             raise ValueError(
-                f"coarse labels of shape {labels.shape} do not fit a matrix of size {n}"
+                f"coarse basis of shape {coarse.basis.shape} does not fit a matrix of size {n}"
             )
-        nl = len(coarse.inverse)
-        if len(labels) and not (0 <= labels.min() and labels.max() < nl):
+        if coarse.basis.shape[1] != nc:
             raise ValueError(
-                f"coarse labels must lie in 0..{nl - 1}, the coarse unknowns, "
-                f"got {labels.min()}..{labels.max()}"
+                f"coarse basis has {coarse.basis.shape[1]} columns but its factor "
+                f"has {nc} unknowns"
             )
+        zt = coarse.basis.T
     x = np.zeros(n)
-    bnorm = float(np.linalg.norm(b))
+    bnorm = math.sqrt(_dot(b, b))
     if not np.isfinite(bnorm):
         raise ValueError(f"right-hand side norm is {bnorm}, not finite")
     if bnorm == 0.0:
@@ -218,28 +205,30 @@ def cg_solve(
     def precondition(r: np.ndarray) -> np.ndarray:
         z = inv_diag * r
         if coarse is not None:
-            m = len(coarse.labels)
-            zc = np.bincount(coarse.labels, weights=r[:m], minlength=len(coarse.inverse))
-            z[:m] += (coarse.inverse @ zc)[coarse.labels]
+            z += coarse.basis @ coarse.factor.solve(zt @ r)
         return z
 
     r = b.copy()
     z = precondition(r)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _dot(r, z)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         ap = a @ p
-        alpha = rz / float(p @ ap)
+        pap = _dot(p, ap)
+        if pap <= 0.0:
+            break
+        alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if float(np.linalg.norm(r)) <= tol * bnorm:
+        if math.sqrt(_dot(r, r)) <= tol * bnorm:
             converged = True
             break
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    res = float(np.linalg.norm(b - a @ x)) / bnorm
+    r = b - a @ x
+    res = math.sqrt(_dot(r, r)) / bnorm
     return x, SolverReport(iterations, res, converged)

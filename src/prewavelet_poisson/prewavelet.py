@@ -16,7 +16,9 @@ at the bottom-right corner, and one row supported along the whole top fine
 row.  That last one is tagged ``global``, all other strip rows ``strip``.
 Every coefficient is dyadic, so orthogonality to the coarse level is exact.
 The basis is held in one form, the rows of :func:`wavelet_matrix`;
-:func:`strip_wavelets` also hands the strip rows out as stencils.
+:func:`strip_wavelets` also hands the strip rows out as stencils, and
+:func:`coarse_basis` groups the rows into the signed aggregates of the
+two-level detail CG.
 """
 
 from __future__ import annotations
@@ -71,30 +73,62 @@ def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
 
 
-def aggregate_labels(j: int) -> np.ndarray:
-    """Coarse-space aggregate of every closed-form row of :func:`wavelet_matrix`.
+#: Coarse-space group and sign of each family's rows, then of the strip rows
+#: that are their 180-degree images: groups 0-1 are the edge families, 2 is
+#: ``f3 - f4``, 3 is family 5, 4-5 are the right and top edges; group 6 holds
+#: the corner rows and the global row, one unknown each.  The image of
+#: family 3 is +family 4 (sign -1 in ``f3 - f4``), of family 4 +family 3, of
+#: family 5 -family 5.
+_COARSE_GROUPS = {
+    1: (0, 1.0, 4, 1.0),
+    2: (1, 1.0, 5, 1.0),
+    3: (2, 1.0, 2, -1.0),
+    4: (2, -1.0, 2, 1.0),
+    5: (3, 1.0, 3, -1.0),
+}
 
-    Each family's positions are grouped into blocks of ``s`` positions per
-    axis, ``s = 2^max(0, j-3)``: runs of ``s`` along the edge for families
-    1-2, ``s x s`` squares for families 3-5.  So at most 8 blocks per axis
-    and per family, 208 aggregates in all.  Entry ``r`` is the aggregate of
-    row ``r``, numbered ``0..nl-1`` family by family; the strip rows that
-    follow the closed-form ones belong to no aggregate and have no entry.
-    Level 1 has no closed-form rows and gives an empty array.
+
+def coarse_basis(j: int) -> sp.csr_matrix:
+    """Signed aggregation basis ``Z`` of the two-level detail CG.
+
+    One row per row of :func:`wavelet_matrix`, each with exactly one entry
+    ``+-1``; one column per coarse unknown.  Positions are grouped into
+    blocks of ``s`` per axis, ``s = 2^max(0, j-4)``, so at most 16 blocks
+    per axis.  Per block there is one aggregate of family 1 and one of
+    family 2 along their edges, one of ``f3 - f4`` (family 4 enters with
+    -1) and one of family 5: the near-kernel fields of the families.  A
+    mirrored strip row joins the aggregate of its image position (block
+    clipped to the last one) with the sign of its image, as in
+    :data:`_COARSE_GROUPS`; the images of families 1 and 2 form right-edge
+    and top-edge aggregates, in runs of ``s``.  The corner rows and the
+    global row get one unknown each.  Every column holds a row, so
+    ``Z^T A Z`` is SPD when ``A`` is.  587 columns for ``j >= 6``.
     """
-    s = 2 ** max(0, j - 3)
+    s = 2 ** max(0, j - 4)
     blocks = -(-(2**j - 2) // s)  # per axis: ceil(positions / s)
-    out, start = [], 0
+
+    def block(i, k):
+        # the edge families sit at i or k == 0 (block -1) and their images
+        # at 2^j (the last block), so one key serves every group
+        bi, bk = (np.minimum((p - 1) // s, blocks - 1) for p in (i, k))
+        return bk * blocks + bi
+
+    rows, images = [], []  # (group, keys, sign) in row order
     for family, i, k in _family_positions(j):
-        if family == 1:
-            label, count = (k - 1) // s, blocks
-        elif family == 2:
-            label, count = (i - 1) // s, blocks
-        else:
-            label, count = (k - 1) // s * blocks + (i - 1) // s, blocks * blocks
-        out.append(start + label)
-        start += count
-    return np.concatenate(out)
+        group, sign, image_group, image_sign = _COARSE_GROUPS[family]
+        rows.append((group, block(i, k), sign))
+        touch = np.minimum(i, k) <= 1
+        images.append((image_group, block(2**j - i[touch], 2**j - k[touch]), image_sign))
+    rows += images
+    # the rows left are the corner rows and the global row
+    own = mesh.n_interior(j + 1) - mesh.n_interior(j) - sum(len(key) for _, key, _ in rows)
+    rows.append((6, np.arange(own), 1.0))
+    group = np.concatenate([np.full(len(key), g) for g, key, _ in rows])
+    sign = np.concatenate([np.full(len(key), v) for _, key, v in rows])
+    key = np.concatenate([key for _, key, _ in rows])
+    _, col = np.unique(np.column_stack([group, key]), axis=0, return_inverse=True)
+    col = col.reshape(-1)
+    return sp.csr_matrix((sign, (np.arange(len(col)), col)), shape=(len(col), col.max() + 1))
 
 
 def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):

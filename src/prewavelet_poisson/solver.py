@@ -8,13 +8,15 @@ solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
 the ladder with no detail levels (``base_level == top_level``).  Each
 system is factored once per level and cached, or solved by conjugate
-gradients: Jacobi-preconditioned on the stiffness matrix, two-level (Jacobi
-plus a coarse correction, cached per level) on the detail Grams.  A
-non-finite load is rejected before any solve.  Error norms are measured
-with the degree-5 rule whatever the assembly rule, on the same cell grid as
-the load vector: the nodal values at each triangle vertex are shifted
-slices of one zero-bordered node array, and the discrete gradient comes
-from the barycentric gradients of the two reference triangles.
+gradients: Jacobi-preconditioned on the stiffness matrix, two-level on the
+detail Grams (Jacobi plus a coarse correction on the signed aggregates of
+``prewavelet.coarse_basis``, whose Galerkin matrix is factored sparsely and
+cached per level).  A non-finite load is rejected before any solve.  Error
+norms are measured with the degree-5 rule whatever the assembly rule, on
+the same cell grid as the load vector: the nodal values at each triangle
+vertex are shifted slices of one zero-bordered node array, and the
+discrete gradient comes from the barycentric gradients of the two
+reference triangles.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ def _factor(system, j: int) -> linalg.CholeskyFactor:
 @lru_cache(maxsize=None)
 def _coarse(j: int) -> linalg.CoarseSpace:
     """Coarse space of the level-``j`` detail Gram for two-level CG: the
-    closed-form rows in per-family position aggregates."""
-    return linalg.coarse_space(prewavelet.wavelet_gram(j), prewavelet.aggregate_labels(j))
+    signed aggregates of :func:`prewavelet.coarse_basis`."""
+    return linalg.coarse_space(prewavelet.wavelet_gram(j), prewavelet.coarse_basis(j))
 
 
 def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:

@@ -191,3 +191,9 @@ def test_clear_caches_empties_every_cache():
     assert all(c.cache_info().currsize for c in caches)
     oracle.clear_caches()
     assert [c for c in caches if c.cache_info().currsize] == []
+
+
+def test_relative_difference_falls_back_to_absolute_on_a_zero_reference():
+    # the formula of both ladder_vs_fem and verify's equivalence check
+    assert bench.relative_difference(np.array([1.0, 0.5]), np.array([2.0, 1.0])) == 0.5
+    assert bench.relative_difference(np.array([0.0, -1e-3]), np.zeros(2)) == 1e-3

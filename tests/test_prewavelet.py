@@ -373,17 +373,59 @@ def test_wavelet_matrix_rows_are_the_basis_stencils(j):
 
 @pytest.mark.parametrize("j", range(1, 9))
 def test_aggregates_partition_the_closed_form_rows(j):
-    # the two-level CG coarse space: one aggregate per family and s x s block of
-    # positions, s = 2^max(0, j-3), so at most 8 blocks per axis and family
-    labels = prewavelet.aggregate_labels(j)
-    positions = _closed_form_positions(j)
+    # the two-level CG coarse space: per s x s block of positions,
+    # s = 2^max(0, j-4), one aggregate each of family 1, family 2, f3 - f4
+    # (family 4 entering with -1) and family 5
+    z = prewavelet.coarse_basis(j)
     detail_rows = mesh.n_interior(j + 1) - mesh.n_interior(j)
-    # one label per closed-form row; the strip and global rows that follow get none
-    assert len(labels) == len(positions) == detail_rows - len(prewavelet.strip_wavelets(j))
-    s = 2 ** max(0, j - 3)
+    assert z.shape[0] == detail_rows
+    # every row has exactly one entry, +-1, and every aggregate holds a row
+    assert np.array_equal(z.getnnz(axis=1), np.ones(detail_rows))
+    assert np.all(np.abs(z.data) == 1.0)
+    assert np.all(z.getnnz(axis=0) >= 1)
+    assert z.shape[1] <= 587
+    if j >= 6:
+        assert z.shape[1] == 587
+    col, sign = z.indices, z.data
+    s = 2 ** max(0, j - 4)
+    group = {1: 1, 2: 2, 3: 3, 4: 3, 5: 5}
     blocks = {}
-    for label, (family, i, k) in zip(labels.tolist(), positions):
-        blocks.setdefault((family, (i - 1) // s, (k - 1) // s), set()).add(label)
+    for r, (family, i, k) in enumerate(_closed_form_positions(j)):
+        blocks.setdefault((group[family], (i - 1) // s, (k - 1) // s), set()).add(col[r])
+        assert sign[r] == (-1.0 if family == 4 else 1.0)
     assert all(len(found) == 1 for found in blocks.values())
-    assert sorted(set(labels.tolist())) == list(range(len(blocks)))
-    assert len(blocks) <= 208
+    assert len(set().union(*blocks.values())) == len(blocks)
+
+
+@pytest.mark.parametrize("j", (2, 3, 4, 5, 6))
+def test_mirrored_strip_rows_join_the_aggregate_of_their_image(j):
+    # the 180-degree image of a family-3 row is +family 4 at the image
+    # position, of family 4 +family 3, of family 5 -family 5; the strip row
+    # joins the aggregate of that position (block clipped to the last one)
+    # with the sign it has there
+    image_of = {3: (4, 1.0), 4: (3, 1.0), 5: (5, -1.0)}
+    z = prewavelet.coarse_basis(j)
+    col, sign = z.indices, z.data
+    n_closed = _n_closed_form(j)
+    strips = prewavelet.strip_wavelets(j)
+    last = 2**j - 2
+    # the strip rows open with the images of the rows touching fine index 1 or 2
+    touching = [(f, i, k) for f, i, k in _closed_form_positions(j) if min(i, k) <= 1]
+    checked = 0
+    for r, (family, i, k) in enumerate(touching):
+        if family in (1, 2):
+            continue
+        image_family, image_sign = image_of[family]
+        pi, pk = 2**j - i, 2**j - k
+        want = {
+            (2 * pi + di, 2 * pk + dk): image_sign * v
+            for (di, dk), v in _FAMILY_PATTERNS[image_family].items()
+        }
+        assert strips[r].position == (pi, pk)
+        assert strips[r].stencil == want
+        assert _stencil(j, n_closed + r) == want
+        ref = _row(j, image_family, min(pi, last), min(pk, last))
+        assert col[n_closed + r] == col[ref]
+        assert sign[n_closed + r] == image_sign * sign[ref]
+        checked += 1
+    assert checked == 3 * (2 * (2**j - 2) - 1)
