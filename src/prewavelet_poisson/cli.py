@@ -223,9 +223,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if "equivalence" in wanted:
         g = bench.builtin_problems()["sine"].g
         for j in range(1, min(level, 5) + 1):
-            ladder = solver.multilevel_solve(j + 1, g)
-            direct = solver.fem_solve(j + 1, g)
-            rel = bench.relative_difference(ladder.prolong(), direct)
+            load = quadrature.load_vector(j + 1, g)
+            ladder = solver.multilevel_from_load(j + 1, load).prolong()
+            direct = solver.multilevel_from_load(j + 1, load, base_level=j + 1).coarse
+            rel = bench.relative_difference(ladder, direct)
             ok &= _print_check(
                 f"equivalence j={j}", rel <= 1e-9, f"relative difference {rel:.3e}"
             )

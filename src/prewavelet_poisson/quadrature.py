@@ -5,25 +5,27 @@ Rules are stored in barycentric coordinates with weights summing to one, so
 the three edge midpoints and is exact for quadratic integrands; ``gauss7`` is
 the classic 7-point degree-5 rule used for error measurement.
 
-``load_vector`` has two paths, chosen from the source alone:
+``load_vector`` has two paths, chosen by the type of the source alone:
 
-- A :class:`TabulatedFunction` on a grid no finer than the level ``j`` is
-  piecewise linear on the level-``j`` triangulation, so its Galerkin load is
-  exact without quadrature: the samples are interpolated up to level ``j``
-  by Type-1 midpoint refinement and the P1 mass stencil is applied with
-  shifted slices.  Every rule of degree >= 2 integrates that load exactly,
-  so the rule does not change the result.
-- Any other source (an analytic callable, a grid finer than ``j``) is
-  sampled by quadrature.  A hat function restricted to one triangle of its
-  support equals the barycentric coordinate of the supporting vertex, which
-  is why this path needs nothing beyond the rule's barycentric point table.
-  Because the level-``j`` triangulation is a uniform grid of congruent cells,
-  every rule point of the lower (or upper) triangle sits at the same offset
-  inside its cell.  ``_cell_points`` yields, per orientation and rule point,
-  the ``2^j x 2^j`` grid of such points; the source is sampled once on each,
-  the samples are weighted into one grid of contributions per triangle
-  vertex, and each grid is added into the node array with one shifted slice.
-  The error norms of :mod:`solver` sweep the same grids.
+- A :class:`TabulatedFunction` is P1 data, so its Galerkin load is exact
+  without quadrature and the rule does not matter.  At the level
+  ``m = max(j, grid level)`` the samples (interpolated up to ``j`` by Type-1
+  midpoint refinement where the grid is coarser) are nodal values of a P1
+  function, and the P1 mass stencil applied with shifted slices gives the
+  level-``m`` load exactly.  A level-``k`` hat is a combination of level
+  ``k+1`` hats, so the refinement matrices restrict that load down to ``j``
+  exactly.
+- Any other source is sampled by quadrature.  A hat function restricted to
+  one triangle of its support equals the barycentric coordinate of the
+  supporting vertex, which is why this path needs nothing beyond the rule's
+  barycentric point table.  Because the level-``j`` triangulation is a
+  uniform grid of congruent cells, every rule point of the lower (or upper)
+  triangle sits at the same offset inside its cell.  ``_cell_points``
+  yields, per orientation and rule point, the ``2^j x 2^j`` grid of such
+  points; the source is sampled once on each, the samples are weighted into
+  one grid of contributions per triangle vertex, and each grid is added into
+  the node array with one shifted slice.  The error norms of :mod:`solver`
+  sweep the same grids.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mesh
+from . import assembly, mesh
 
 
 @dataclass(frozen=True)
@@ -40,12 +42,10 @@ class TriangleRule:
     """Quadrature rule on a triangle, in barycentric form.
 
     points has shape (Q, 3) with rows summing to 1; weights has shape (Q,)
-    and sums to 1; degree is the highest polynomial degree integrated
-    exactly.
+    and sums to 1.
     """
 
     name: str
-    degree: int
     points: tuple[tuple[float, float, float], ...]
     weights: tuple[float, ...]
 
@@ -58,7 +58,6 @@ class TriangleRule:
 
 MID3 = TriangleRule(
     name="mid3",
-    degree=2,
     points=((0.5, 0.5, 0.0), (0.0, 0.5, 0.5), (0.5, 0.0, 0.5)),
     weights=(1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
 )
@@ -73,7 +72,6 @@ _W2 = 0.125939180544827
 
 GAUSS7 = TriangleRule(
     name="gauss7",
-    degree=5,
     points=(
         (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0),
         (_A1, _B1, _B1),
@@ -134,20 +132,23 @@ def _refine_nodal(v: np.ndarray) -> np.ndarray:
 
 
 def _mass_load(j: int, tab: TabulatedFunction) -> np.ndarray:
-    """Exact level-``j`` load of a tabulated source on a grid of level <= j.
+    """Exact level-``j`` load of a tabulated source.
 
-    The source is P1 on the level-``j`` triangulation, so its load is the
-    mass matrix applied to its level-``j`` nodal values: ``1/(12 4^j)`` times
-    6 on the vertex and 1 on each of its six edge neighbours ``(+-1, 0)``,
-    ``(0, +-1)`` and ``+-(1, 1)``.  Samples are scaled before they are summed,
-    and the neighbours are added in opposite pairs, so a constant source gives
-    exactly ``4^-j``.
+    At level ``m = max(j, tab.level)`` the source is P1 on the level-``m``
+    triangulation: a coarser grid is refined up to ``j`` first.  Its level-``m``
+    load is the mass matrix applied to its level-``m`` nodal values:
+    ``1/(12 4^m)`` times 6 on the vertex and 1 on each of its six edge
+    neighbours ``(+-1, 0)``, ``(0, +-1)`` and ``+-(1, 1)``.  Samples are scaled
+    before they are summed, and the neighbours are added in opposite pairs, so
+    a constant source gives exactly ``4^-m``.  The refinement matrices then
+    restrict that load from ``m`` down to ``j``.
     """
     v = tab.values
     for _ in range(tab.level, j):
         v = _refine_nodal(v)
+    m = max(j, tab.level)
     n = v.shape[0]
-    w = v * (1.0 / (12 * 4**j))
+    w = v * (1.0 / (12 * 4**m))
 
     def shifted(dx: int, dy: int) -> np.ndarray:
         return w[1 + dy : n - 1 + dy, 1 + dx : n - 1 + dx]
@@ -156,8 +157,11 @@ def _mass_load(j: int, tab: TabulatedFunction) -> np.ndarray:
     pair = shifted(0, 1) + shifted(0, -1)
     out += pair
     out += np.add(shifted(1, 1), shifted(-1, -1), out=pair)
-    out += np.multiply(v[1:-1, 1:-1], 0.5 / 4**j, out=pair)  # 6 / 12 on the vertex
-    return out.ravel()
+    out += np.multiply(v[1:-1, 1:-1], 0.5 / 4**m, out=pair)  # 6 / 12 on the vertex
+    out = out.ravel()
+    for k in range(m - 1, j - 1, -1):
+        out = assembly.refinement_matrix(k) @ out
+    return out
 
 
 def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
@@ -168,10 +172,10 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     the ``(2^j + 1)^2`` node array, row-major, is the result.  For ``g == 1`` every entry is
     ``4^-j`` (the volume of a hat).
 
-    If ``g`` is a :class:`TabulatedFunction` whose grid level is at most
-    ``j`` and ``rule`` has degree >= 2, the load is exact and the rule does
-    not matter: it is the P1 mass matrix applied to the samples interpolated
-    up to level ``j``.
+    If ``g`` is a :class:`TabulatedFunction`, the load is exact on any grid
+    and ``rule`` is not used: the P1 mass matrix at the finer of the two
+    levels, restricted down to ``j``.  So the level-``j`` load is the
+    restriction of the level ``j+1`` load, as the ladder needs.
 
     Otherwise it is quadrature: the six support triangles each contribute
     ``area * sum_q w_q g(x_q) lambda(x_q)`` with ``lambda`` the barycentric
@@ -186,7 +190,7 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
-    if isinstance(g, TabulatedFunction) and g.level <= j and rule.degree >= 2:
+    if isinstance(g, TabulatedFunction):
         return _mass_load(j, g)
     m = 2**j
     pts = rule.point_array()  # (Q, 3)
@@ -204,17 +208,17 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
 
 
 class TabulatedFunction:
-    """Piecewise-linear interpolant of nodal samples on a dyadic grid.
+    """A piecewise-linear source given by its nodal samples on a dyadic grid.
 
     values[iy, ix] holds the sample at (ix/2^m, iy/2^m) for a square array
-    of side 2^m + 1 (boundary samples included), all of them finite.
-    Evaluation interpolates linearly on the Type-1 triangulation of the
-    sample grid and accepts scalars or arrays; points are clipped to the
-    unit square.  The samples are copied; ``values`` is read-only.
+    of side 2^m + 1 (boundary samples included), all of them finite; the
+    source is their P1 interpolant on the Type-1 triangulation of that grid,
+    and :func:`load_vector` loads it exactly.  The samples are copied once;
+    ``values`` is that copy, read-only.
     """
 
     def __init__(self, values) -> None:
-        values = np.asarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ValueError(f"values must be a square 2-d array, got {values.shape}")
         side = values.shape[0] - 1
@@ -224,28 +228,5 @@ class TabulatedFunction:
         if bad:
             raise ValueError(f"values must be finite; {bad} samples are not")
         self.level = side.bit_length() - 1
-        # one repeated row and column, so a point on the edge x = 1 or y = 1
-        # starts a cell there at offset 0 and a node's sample comes back exact;
-        # ``values`` is a read-only view of this one copy, so the two agree
-        padded = np.pad(values, ((0, 1), (0, 1)), mode="edge")
-        padded.setflags(write=False)
-        self.values = padded[:-1, :-1]
-        self._flat = padded.ravel()
-
-    def __call__(self, x, y):
-        m = 2**self.level
-        s = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * m
-        t = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * m
-        cx = s.astype(np.intp)
-        cy = t.astype(np.intp)
-        fx = s - cx
-        fy = t - cy
-        # v00 + (vmid - v00) max(fx, fy) + (v11 - vmid) min(fx, fy), with vmid
-        # the corner (cx+1, cy) below the diagonal and (cx, cy+1) above it
-        stride = m + 2
-        i00 = cy * stride + cx
-        below = fx >= fy
-        v00 = self._flat.take(i00)
-        vmid = self._flat.take(i00 + np.where(below, 1, stride))
-        v11 = self._flat.take(i00 + (stride + 1))
-        return v00 + (vmid - v00) * np.maximum(fx, fy) + (v11 - vmid) * np.minimum(fx, fy)
+        values.setflags(write=False)
+        self.values = values

@@ -5,7 +5,8 @@ vertices in grid units, scaled by ``Fraction(1, 2**j)`` so that coordinates,
 areas and barycentric gradients are exact rationals.  The interior vertex
 ``(i, k)`` has the row-major ordinal ``(k - 1)(2^j - 1) + (i - 1)``, and its
 hat function has the closed form of :func:`hat`, which ``test_mesh`` pins
-against the barycentric evaluator.  :func:`clear_caches` resets the
+against the barycentric evaluator.  :func:`p1` evaluates the P1 source a
+``TabulatedFunction`` stands for.  :func:`clear_caches` resets the
 package's per-level caches, for tests that swap a module function.
 """
 
@@ -58,6 +59,30 @@ def hat(j, i, k, x, y):
     s = np.asarray(x, dtype=float) * 2**j - i
     t = np.asarray(y, dtype=float) * 2**j - k
     return np.maximum(0.0, 1.0 - np.maximum(np.maximum(np.abs(s), np.abs(t)), np.abs(s - t)))
+
+
+def p1(tab, x, y):
+    """The piecewise-linear interpolant of ``tab.values`` at ``(x, y)``.
+
+    Points are clipped to the unit square.  All four corners of the point's
+    cell are gathered, then the lower (``fx >= fy``) or the upper triangle's
+    interpolant is taken.  Accepts scalars or arrays.
+    """
+    m = 2**tab.level
+    s = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * m
+    t = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * m
+    cx = np.minimum(np.floor(s).astype(int), m - 1)
+    cy = np.minimum(np.floor(t).astype(int), m - 1)
+    fx = s - cx
+    fy = t - cy
+    v = tab.values
+    v00 = v[cy, cx]
+    v10 = v[cy, cx + 1]
+    v01 = v[cy + 1, cx]
+    v11 = v[cy + 1, cx + 1]
+    lower = v00 * (1.0 - fx) + v10 * (fx - fy) + v11 * fy
+    upper = v00 * (1.0 - fy) + v01 * (fy - fx) + v11 * fx
+    return np.where(fx >= fy, lower, upper)
 
 
 def barycentric(coords, x, y):

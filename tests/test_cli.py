@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracle
-from prewavelet_poisson import bench, cli, mesh, prewavelet, solver
+from prewavelet_poisson import bench, cli, linalg, mesh, prewavelet, solver
 
 
 def test_help_exits_zero(capsys):
@@ -181,16 +181,35 @@ def test_solve_reports_non_finite_solution(tmp_path, capsys):
     assert "non-finite" in capsys.readouterr().err
 
 
-def test_solve_reports_non_finite_load_at_once(tmp_path, capsys):
-    # finite samples finer than the level whose interpolant overflows in the
-    # quadrature: the load is non-finite, so CG must not be started on it
+def test_solve_loads_a_huge_checkerboard_to_zero(tmp_path):
+    # finite samples of +-1e308 finer than the level: the exact load scales
+    # before it sums, and the checkerboard cancels against every coarse hat
     side = 2**4 + 1
     values = [[1e308 * (-1.0) ** (i + k) for i in range(side)] for k in range(side)]
     path = tmp_path / "problem.json"
     path.write_text(json.dumps({"name": "big", "rhs": {"values": values}}))
     out = tmp_path / "out.csv"
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = cli.main(["solve", "--level", "2", "--problem", str(path), "--method", "fem",
+    code = cli.main(["solve", "--level", "2", "--problem", str(path), "--method", "fem",
+                     "--solver", "cg", "--out", str(out)])
+    assert code == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == mesh.n_interior(2)
+    assert all(float(r["value"]) == 0.0 for r in rows)
+
+
+def test_solve_reports_non_finite_load_at_once(monkeypatch, tmp_path, capsys):
+    # a pole on the vertical edges at x = 1/2, where mid3 samples at level 2:
+    # the load is non-finite, so CG must not be started on it
+    def cg_solve(*args, **kwargs):
+        raise AssertionError("cg_solve was called on a non-finite load")
+
+    unused = lambda x, y: 0.0
+    pole = bench.TestProblem("pole", unused, unused, unused, lambda x, y: 1.0 / (x - 0.5))
+    monkeypatch.setattr(bench, "builtin_problems", lambda: {"pole": pole})
+    monkeypatch.setattr(linalg, "cg_solve", cg_solve)
+    out = tmp_path / "out.csv"
+    with np.errstate(divide="ignore", invalid="ignore"):
+        code = cli.main(["solve", "--level", "2", "--problem", "pole", "--method", "fem",
                          "--solver", "cg", "--out", str(out)])
     assert code == 3
     assert not out.exists()

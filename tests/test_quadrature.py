@@ -109,18 +109,6 @@ def test_detail_load_frozen():
     assert detail[0] == pytest.approx(3.0 / 64.0, rel=1e-13)
 
 
-def test_tabulated_function_reproduces_affine():
-    xs = np.linspace(0, 1, 5)
-    X, Y = np.meshgrid(xs, xs)
-    tab = quadrature.TabulatedFunction(X + 2 * Y)
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, size=(50, 2))
-    got = tab(pts[:, 0], pts[:, 1])
-    np.testing.assert_allclose(got, pts[:, 0] + 2 * pts[:, 1], rtol=1e-12, atol=1e-14)
-    # nodal values are reproduced exactly
-    assert tab(0.25, 0.75) == 0.25 + 1.5
-
-
 def test_tabulated_function_validation():
     with pytest.raises(ValueError):
         quadrature.TabulatedFunction(np.zeros((4, 4)))  # not 2^m + 1
@@ -132,14 +120,24 @@ def _smooth(x, y):
     return np.exp(x) * np.cos(3.0 * y) + x * y
 
 
-def _oracle_load(j, g, rule):
-    # per-triangle quadrature of g times each interior vertex's hat, which
-    # equals that vertex's barycentric coordinate on the triangle
+def _hats_on(j, coords):
+    # the interior level-j vertices whose hats do not vanish on a triangle of
+    # level >= j: those positive at its centroid, at most three
+    x, y = np.mean(np.asarray(coords, dtype=float), axis=0)
+    ci, ck = int(x * 2**j), int(y * 2**j)
+    for i, k in ((ci, ck), (ci + 1, ck), (ci, ck + 1), (ci + 1, ck + 1)):
+        if 1 <= i < 2**j and 1 <= k < 2**j and oracle.hat(j, i, k, x, y) > 0:
+            yield i, k
+
+
+def _oracle_load(j, g, rule, level=None):
+    # per-triangle quadrature of g times each interior level-j hat, over the
+    # triangles of ``level`` (default j); a level-j hat is linear on each of
+    # them, and on a level-j triangle it is the vertex's barycentric coordinate
     out = np.zeros(mesh.n_interior(j))
-    for verts, coords, area in oracle.triangles(j):
-        for which, row in oracle.interior(j, verts):
-            i, k = verts[which]
-            out[row] += oracle.integrate(
+    for _, coords, area in oracle.triangles(level or j):
+        for i, k in _hats_on(j, coords):
+            out[oracle.ordinal(j, i, k)] += oracle.integrate(
                 coords, area, lambda x, y: g(x, y) * oracle.hat(j, i, k, x, y), rule
             )
     return out
@@ -156,7 +154,12 @@ def test_load_vector_matches_per_triangle_oracle(j, rule, kind):
     else:
         g = lambda x, y: 2.5  # a scalar, broadcast over every point
     got = quadrature.load_vector(j, g, rule)
-    expect = _oracle_load(j, g, rule)
+    level = j
+    if kind == "tabulated":
+        # the P1 source is linear on the triangles of the finer triangulation
+        tab, level = g, max(j, g.level)
+        g = lambda x, y: oracle.p1(tab, x, y)
+    expect = _oracle_load(j, g, rule, level)
     np.testing.assert_allclose(got, expect, rtol=1e-12, atol=1e-15 * np.max(np.abs(expect)))
 
 
@@ -187,59 +190,11 @@ def test_load_vector_bits_unchanged_by_the_shared_sampler(j, rule):
     assert np.array_equal(got, _load_vector_before_cell_points(j, _smooth, rule))
 
 
-def _four_gather(tab, x, y):
-    # the previous evaluation formula: gather all four cell corners, then pick
-    # the lower or the upper triangle's interpolant
-    m = 2**tab.level
-    s = np.clip(np.asarray(x, dtype=float), 0.0, 1.0) * m
-    t = np.clip(np.asarray(y, dtype=float), 0.0, 1.0) * m
-    cx = np.minimum(np.floor(s).astype(int), m - 1)
-    cy = np.minimum(np.floor(t).astype(int), m - 1)
-    fx = s - cx
-    fy = t - cy
-    v = tab.values
-    v00 = v[cy, cx]
-    v10 = v[cy, cx + 1]
-    v01 = v[cy + 1, cx]
-    v11 = v[cy + 1, cx + 1]
-    lower = v00 * (1.0 - fx) + v10 * (fx - fy) + v11 * fy
-    upper = v00 * (1.0 - fy) + v01 * (fy - fx) + v11 * fx
-    return np.where(fx >= fy, lower, upper)
-
-
-def test_tabulated_function_is_exact_at_the_nodes():
-    values = np.random.default_rng(11).standard_normal((17, 17))
-    tab = quadrature.TabulatedFunction(values)
-    nodes = np.arange(17) / 16
-    x, y = np.meshgrid(nodes, nodes)
-    assert np.array_equal(tab(x, y), values)
-
-
-def test_tabulated_function_matches_four_gather_formula():
-    rng = np.random.default_rng(12)
-    tab = quadrature.TabulatedFunction(rng.uniform(-1, 1, (33, 33)))
-    x = rng.uniform(-0.3, 1.3, 20000)
-    y = rng.uniform(-0.3, 1.3, 20000)
-    # points on the cell diagonals, the cell edges and the sides of the square
-    edge = rng.integers(0, 33, 2000) / 32
-    x = np.concatenate([x, edge, edge, np.ones(2000), rng.uniform(0, 1, 2000)])
-    y = np.concatenate([y, edge, rng.uniform(0, 1, 2000), edge, np.ones(2000)])
-    np.testing.assert_allclose(tab(x, y), _four_gather(tab, x, y), rtol=1e-15, atol=1e-15)
-
-
-def test_tabulated_function_accepts_scalars():
-    tab = quadrature.TabulatedFunction(np.random.default_rng(13).uniform(-1, 1, (9, 9)))
-    got = tab(0.3, 0.71)
-    assert np.ndim(got) == 0
-    assert float(got) == pytest.approx(float(_four_gather(tab, 0.3, 0.71)), rel=1e-15)
-    assert float(tab(1.0, 1.0)) == tab.values[-1, -1]
-
-
 def test_tabulated_function_copies_its_samples():
     values = np.zeros((5, 5))
     tab = quadrature.TabulatedFunction(values)
     values[2, 2] = 1.0
-    assert float(tab(0.5, 0.5)) == 0.0
+    assert np.all(quadrature.load_vector(2, tab) == 0.0)
     with pytest.raises(ValueError):
         tab.values[2, 2] = 1.0
 
@@ -251,8 +206,8 @@ def _tab(m, seed=0):
 
 
 def _quadrature_load(j, tab, rule=quadrature.MID3):
-    # a plain callable hides the type, so load_vector samples the interpolant
-    return quadrature.load_vector(j, lambda x, y: tab(x, y), rule)
+    # a plain callable hides the type, so load_vector samples the P1 source
+    return quadrature.load_vector(j, lambda x, y: oracle.p1(tab, x, y), rule)
 
 
 def _max_rel(got, ref):
@@ -284,14 +239,19 @@ def test_exact_load_of_one_is_the_hat_volume(j):
         assert np.all(f == 4.0**-j)
 
 
-def test_finer_grid_and_degree_one_rule_stay_on_quadrature():
-    j = 3
-    finer = _tab(j + 1)
-    assert np.array_equal(quadrature.load_vector(j, finer), _quadrature_load(j, finer))
-    centroid = quadrature.TriangleRule("centroid", 1, ((1 / 3, 1 / 3, 1 / 3),), (1.0,))
-    tab = _tab(j)
-    got = quadrature.load_vector(j, tab, centroid)
-    assert np.array_equal(got, _quadrature_load(j, tab, centroid))
+@pytest.mark.parametrize("j", range(1, 5))
+def test_finer_grid_load_is_exact(j):
+    # the P1 source times a level-j hat is quadratic on each triangle of the
+    # finer grid, so the degree-5 rule over those triangles is exact; any rule
+    # passed to load_vector, even a degree-one one, gives the same bits
+    centroid = quadrature.TriangleRule("centroid", ((1 / 3, 1 / 3, 1 / 3),), (1.0,))
+    for m in (j + 1, j + 2):
+        tab = _tab(m, seed=j)
+        got = quadrature.load_vector(j, tab)
+        expect = _oracle_load(j, lambda x, y: oracle.p1(tab, x, y), quadrature.GAUSS7, m)
+        assert _max_rel(got, expect) <= 1e-13
+        for rule in (quadrature.GAUSS7, centroid):
+            assert np.array_equal(quadrature.load_vector(j, tab, rule), got)
 
 
 @pytest.mark.parametrize("m, j", ((3, 3), (3, 5)))
@@ -308,8 +268,8 @@ def test_exact_load_of_huge_samples_stays_finite(m, j):
 @pytest.mark.parametrize("j", range(1, 9))
 def test_exact_loads_agree_across_levels(j):
     # the level-j hats are combinations of level j+1 hats, so an exact load
-    # restricts onto the coarser exact load
-    for m in sorted({0, j // 2, j}):
+    # restricts onto the coarser exact load, on any grid
+    for m in sorted({0, j // 2, j, j + 1, j + 2}):
         tab = _tab(m, seed=j)
         fine = quadrature.load_vector(j + 1, tab)
         coarse = quadrature.load_vector(j, tab)

@@ -77,6 +77,19 @@ def test_truncating_details_is_exact():
     assert np.array_equal(truncated.prolong(), short.prolong())
 
 
+@pytest.mark.parametrize("j", (2, 3, 4, 5))
+def test_ladder_keeps_the_fem_solution_of_a_finer_tabulated_source(j):
+    # the level-j load is the restriction of the level j+1 load on any sample
+    # grid, so one more ladder level keeps the level-j Galerkin solution
+    for m in (j + 1, j + 2):
+        tab = quadrature.TabulatedFunction(
+            np.random.default_rng([m, j]).uniform(-1, 1, (2**m + 1, 2**m + 1))
+        )
+        direct = solver.fem_solve(j, tab)
+        kept = solver.multilevel_solve(j + 1, tab).prolong(level=j)
+        assert np.max(np.abs(kept - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
 @pytest.mark.parametrize("j", (1, 2, 3))
 def test_subspace_splitting_identity(j):
     # B^T D_c^{-1} B + C^T E^{-1} C = D_f^{-1}, the exact-splitting identity
@@ -146,8 +159,8 @@ def test_l2_error_vanishes_for_space_member():
     rng = np.random.default_rng(5)
     for j in (1, 3, 5):
         coeffs = rng.standard_normal(mesh.n_interior(j))
-        nodes = np.pad(coeffs.reshape(2**j - 1, 2**j - 1), 1)
-        assert solver.l2_error(j, coeffs, quadrature.TabulatedFunction(nodes)) <= 1e-12
+        tab = quadrature.TabulatedFunction(np.pad(coeffs.reshape(2**j - 1, 2**j - 1), 1))
+        assert solver.l2_error(j, coeffs, lambda x, y: oracle.p1(tab, x, y)) <= 1e-12
 
 
 def _nodal_on_triangles(j, coeffs):
