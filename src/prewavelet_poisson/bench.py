@@ -1,11 +1,12 @@
 """Built-in test problems and the accuracy table.
 
-Per problem, solver setting and level, the load is assembled once and the
-prewavelet ladder is solved on it from level 1.  The table records the H1
-and L2 errors of the prolonged ladder (degree-5 rule), their observed rates
-against the previous level of the run, and ``ladder_vs_fem``: the max-norm
-relative difference from direct FEM (``fem_solve``) on the same load.  A
-failed solve is recorded with NaN fields rather than aborting the sweep.
+Per problem, tolerance (None for the direct factor) and level, the load is
+assembled once and the prewavelet ladder is solved on it from level 1.  The
+table records the H1 and L2 errors of the prolonged ladder (degree-5 rule),
+their observed rates against the previous level of the run, and
+``ladder_vs_fem``: the max-norm relative difference from direct FEM
+(``fem_solve``) on the same load.  A failed solve is recorded with NaN
+fields rather than aborting the sweep.
 Speed is measured by ``perfbench``, not here.
 """
 
@@ -145,15 +146,15 @@ def _accuracy(problem, level, solver_name, tol, rule):
 def run_benchmark(
     problems: list[TestProblem] | None = None,
     levels: tuple[int, ...] = (4, 5, 6),
-    solvers: tuple[str, ...] = ("direct",),
-    tolerances: tuple[float, ...] = (),
+    tolerances: tuple[float | None, ...] = (None,),
     rule: quadrature.TriangleRule = quadrature.MID3,
 ) -> list[BenchRecord]:
-    """The accuracy table: one record per problem, solver setting and level,
+    """The accuracy table: one record per problem, tolerance and level,
     with levels ascending.
 
-    Direct contributes one solver setting and cg one per tolerance.  The
-    levels must be distinct and at least 1.
+    A tolerance is a solver setting: None solves with the direct factor, a
+    number with CG to that tolerance.  The levels must be distinct and at
+    least 1.
     """
     if problems is None:
         problems = list(builtin_problems().values())
@@ -162,19 +163,10 @@ def run_benchmark(
         raise ValueError(f"level must be >= 1, got {levels[0]}")
     if len(set(levels)) < len(levels):
         raise ValueError(f"levels must be distinct, got {levels}")
-    settings = []
-    for s in solvers:
-        if s == "direct":
-            settings.append(("direct", None))
-        elif s == "cg":
-            if not tolerances:
-                raise ValueError("cg benchmarking needs at least one tolerance")
-            settings.extend(("cg", t) for t in tolerances)
-        else:
-            raise ValueError(f"solver must be 'direct' or 'cg', got {s!r}")
     records = []
     for p in problems:
-        for s, t in settings:
+        for t in tolerances:
+            s = "direct" if t is None else "cg"
             prev = None
             for level in levels:
                 h1, l2, agreement = _accuracy(p, level, s, t, rule)

@@ -255,17 +255,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             f"unknown problems {unknown}: choose from {', '.join(sorted(builtins))}"
         )
     problems = [builtins[n] for n in names]
-    tolerances = ()
+    tolerances = (None,)
     if args.solver == "cg":
         tolerances = tuple(
             _check_tol(t) for t in _parse_list("--tolerances", args.tolerances, float)
         )
     records = bench.run_benchmark(
-        problems=problems,
-        levels=levels,
-        solvers=(args.solver,),
-        tolerances=tolerances,
-        rule=_rule(args.quad),
+        problems=problems, levels=levels, tolerances=tolerances, rule=_rule(args.quad)
     )
     if args.out:
         _write_out(args.out, lambda f: bench.write_csv(records, f))

@@ -10,15 +10,17 @@ only), whose fill follows the sparsity rather than the bandwidth.
 ``cg_solve`` is conjugate gradients from a zero start, preconditioned with
 the inverse diagonal (Jacobi), which evens out the spread of the detail
 Gram's diagonal (from 8 up to ``2^{j+2} - 2`` on the global row).  Given a
-``CoarseSpace`` it adds a coarse correction, ``M = D^-1 + Z E^-1 Z^T`` with
-``Z`` a sparse basis of the coarse space (for the detail Grams, signed
+``CoarseSpace(a, Z)`` it adds a coarse correction, ``M = D^-1 + Z E^-1 Z^T``
+with ``Z`` a sparse basis of the coarse space (for the detail Grams, signed
 aggregates that cover the near-kernel and the boundary strip) and
-``E = Z^T A Z`` kept sparse and factored by ``CholeskyFactor``: a
-two-level preconditioner that removes the smooth error modes Jacobi leaves
-behind.  Either way it stops on the unpreconditioned relative residual,
-and its inner products and norms bypass BLAS.  Both reject a matrix that
-is not square and symmetric, or has non-finite entries, with ValueError,
-so neither hands back the solution of a system that cannot be SPD.
+``E = Z^T A Z``, formed by the coarse space itself, kept sparse and factored
+by ``CholeskyFactor``: a two-level preconditioner that removes the smooth
+error modes Jacobi leaves behind.  Either way it has one stopping rule: it
+reports converged only when the true relative residual of the returned
+solution meets the tolerance, and it reports that residual.  Its inner
+products and norms bypass BLAS.  Both reject a matrix that is not square
+and symmetric, or has non-finite entries, with ValueError, so neither
+hands back the solution of a system that cannot be SPD.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class SolverReport:
     """Outcome of one conjugate-gradient solve.
 
     relative_residual is the true ``||b - A x|| / ||b||`` of the returned
-    solution.  converged records whether the stopping criterion was met.
+    solution, and converged is exactly ``relative_residual <= tol``.
     """
 
     iterations: int
@@ -48,13 +50,10 @@ class SolverReport:
     converged: bool
 
 
-def _as_csr(a) -> sp.csr_matrix:
-    if sp.issparse(a):
-        return a.tocsr()
-    return sp.csr_matrix(np.asarray(a, dtype=float))
-
-
-def _check_matrix(a: sp.csr_matrix) -> None:
+def _check_matrix(a) -> sp.csr_matrix:
+    """``a`` as a CSR matrix, once it is known to be square, finite and
+    symmetric to ``1e-10`` of its largest entry; ValueError otherwise."""
+    a = a.tocsr() if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"matrix must be square, got shape {a.shape}")
     scale = np.max(np.abs(a.data)) if a.nnz else 0.0
@@ -64,6 +63,7 @@ def _check_matrix(a: sp.csr_matrix) -> None:
     asym = np.max(np.abs(skew.data)) if skew.nnz else 0.0
     if asym > 1e-10 * max(scale, 1.0):
         raise ValueError(f"matrix is not symmetric (max asymmetry {asym:.3g})")
+    return a
 
 
 class CholeskyFactor:
@@ -80,8 +80,7 @@ class CholeskyFactor:
     """
 
     def __init__(self, a) -> None:
-        a = _as_csr(a)
-        _check_matrix(a)
+        a = _check_matrix(a)
         self.n = a.shape[0]
         try:
             self._lu = spla.splu(
@@ -106,29 +105,21 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
-@dataclass(frozen=True)
 class CoarseSpace:
-    """Coarse space for :func:`cg_solve`.
+    """Galerkin coarse space of ``a`` for :func:`cg_solve`.
 
     basis is the sparse ``n x nc`` matrix ``Z`` whose columns span the
     coarse space; factor is the :class:`CholeskyFactor` of the Galerkin
-    matrix ``E = Z^T A Z``.
+    matrix ``E = Z^T A Z``, formed here, so the two always fit each other.
+    ``E`` is SPD when ``a`` is and ``Z`` has full column rank, and the
+    factor proves it.  ``a`` is not checked again here: :func:`cg_solve`
+    checks it on every call.  For the detail Gram at ``j = 6`` and its
+    587-column signed aggregation basis the factor holds about 18k entries.
     """
 
-    basis: sp.csr_matrix
-    factor: CholeskyFactor
-
-
-def coarse_space(a, basis) -> CoarseSpace:
-    """The Galerkin coarse space of ``a`` spanned by the columns of ``basis``.
-
-    ``E = Z^T A Z`` is SPD when ``a`` is and ``Z`` has full column rank;
-    it is kept sparse and factored by :class:`CholeskyFactor`, which proves
-    it SPD.  For the detail Gram at ``j = 6`` and its 587-column signed
-    aggregation basis the factor holds about 18k entries.
-    """
-    z = sp.csr_matrix(basis, dtype=float)
-    return CoarseSpace(z, CholeskyFactor(z.T @ _as_csr(a) @ z))
+    def __init__(self, a, basis) -> None:
+        self.basis = sp.csr_matrix(basis, dtype=float)
+        self.factor = CholeskyFactor(self.basis.T @ sp.csr_matrix(a, dtype=float) @ self.basis)
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -139,11 +130,7 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cg_solve(
-    a,
-    b,
-    tol: float = 1e-10,
-    max_iter: int | None = None,
-    coarse: CoarseSpace | None = None,
+    a, b, tol: float = 1e-10, coarse: CoarseSpace | None = None
 ) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients from a zero start.
 
@@ -152,43 +139,37 @@ def cg_solve(
     raises NotPositiveDefiniteError.  With a ``coarse`` space it is the
     two-level ``D^-1 + Z E^-1 Z^T``, still SPD, whose coarse part costs a
     product with ``Z^T``, one solve with the sparse factor of ``E`` and a
-    product with ``Z`` per iteration; a coarse basis without one row per
-    row of ``a``, or with another number of columns than its factor has
-    unknowns, raises ValueError.  Iteration stops once the unpreconditioned
-    recurrence residual satisfies ``||r|| <= tol * ||b||``, after
-    ``max_iter`` iterations (default ``10 n``; below 1 raises ValueError),
-    or when ``p^T A p`` is not positive, so that no step can make progress
-    (the search direction has underflowed).  A right-hand side whose norm is
-    not finite raises ValueError before any iteration; a NaN in it would
-    otherwise stall every residual test.  Non-convergence
-    is signalled through ``report.converged``; the partial iterate is still
-    returned.  The report carries the true final residual.  Inner products
-    and norms go through :func:`_dot`, not BLAS.
+    product with ``Z`` per iteration; a coarse space built for a matrix of
+    another size raises ValueError.  A right-hand side whose norm is not
+    finite raises ValueError before any iteration.
+
+    One stopping rule.  CG iterates on its recurrence residual ``r``, which
+    keeps falling after the true residual ``b - A x`` has stopped at the
+    level rounding allows.  From the first iteration at which
+    ``||r|| <= tol ||b||``, it also forms the true residual each iteration
+    (without replacing ``r`` by it) and stops as converged once that meets
+    ``tol``; otherwise it stops, not converged, at twice the iteration at
+    which ``r`` first met ``tol``.  It also stops, not converged, after
+    ``10 n`` iterations, when ``p^T A p`` is not positive, or when ``r^T z``
+    has underflowed below the smallest normal float: no step can be taken,
+    or none computed to working precision (the recurrence then only grows
+    rounding noise, until the cap).  The report carries the true relative
+    residual of the returned ``x``, and ``report.converged ==
+    (report.relative_residual <= tol)`` always holds; the partial iterate
+    is returned either way.  Inner products and norms go through
+    :func:`_dot`, not BLAS.
     """
-    a = _as_csr(a)
+    a = _check_matrix(a)
     b = np.asarray(b, dtype=float)
-    _check_matrix(a)
-    if b.shape != (a.shape[0],):
-        raise ValueError(
-            f"right-hand side length {b.shape} does not match matrix of size {a.shape[0]}"
-        )
+    n = a.shape[0]
+    if b.shape != (n,):
+        raise ValueError(f"right-hand side length {b.shape} does not match matrix of size {n}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    n = a.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if coarse is not None:
-        nc = coarse.factor.n
         if coarse.basis.shape[0] != n:
             raise ValueError(
                 f"coarse basis of shape {coarse.basis.shape} does not fit a matrix of size {n}"
-            )
-        if coarse.basis.shape[1] != nc:
-            raise ValueError(
-                f"coarse basis has {coarse.basis.shape[1]} columns but its factor "
-                f"has {nc} unknowns"
             )
         zt = coarse.basis.T
     x = np.zeros(n)
@@ -208,13 +189,19 @@ def cg_solve(
             z += coarse.basis @ coarse.factor.solve(zt @ r)
         return z
 
+    def true_residual() -> float:
+        res = b - a @ x
+        return math.sqrt(_dot(res, res)) / bnorm
+
     r = b.copy()
     z = precondition(r)
     p = z.copy()
     rz = _dot(r, z)
-    converged = False
+    stop = 10 * n
+    confirming = False  # whether r has met tol, so each x is checked
+    tiny = np.finfo(float).tiny  # below it r^T z is subnormal, or zero
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    while iterations < stop and rz >= tiny:
         ap = a @ p
         pap = _dot(p, ap)
         if pap <= 0.0:
@@ -222,13 +209,18 @@ def cg_solve(
         alpha = rz / pap
         x += alpha * p
         r -= alpha * ap
-        if math.sqrt(_dot(r, r)) <= tol * bnorm:
-            converged = True
-            break
+        iterations += 1
+        if not confirming and math.sqrt(_dot(r, r)) <= tol * bnorm:
+            confirming = True
+            stop = min(stop, 2 * iterations)
+        if confirming:
+            rel = true_residual()
+            if rel <= tol:
+                break
         z = precondition(r)
         rz_new = _dot(r, z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    r = b - a @ x
-    res = math.sqrt(_dot(r, r)) / bnorm
-    return x, SolverReport(iterations, res, converged)
+    if not confirming:
+        rel = true_residual()
+    return x, SolverReport(iterations, rel, rel <= tol)

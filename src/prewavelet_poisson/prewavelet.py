@@ -126,8 +126,9 @@ def coarse_basis(j: int) -> sp.csr_matrix:
     group = np.concatenate([np.full(len(key), g) for g, key, _ in rows])
     sign = np.concatenate([np.full(len(key), v) for _, key, v in rows])
     key = np.concatenate([key for _, key, _ in rows])
-    _, col = np.unique(np.column_stack([group, key]), axis=0, return_inverse=True)
-    col = col.reshape(-1)
+    # keys lie in -blocks..blocks^2 - 1 or 0..own - 1, fewer than len(key) + 1
+    # integers, so this integer sorts as (group, key) does
+    _, col = np.unique(group * (len(key) + 1) + key, return_inverse=True)
     return sp.csr_matrix((sign, (np.arange(len(col)), col)), shape=(len(col), col.max() + 1))
 
 

@@ -39,7 +39,7 @@ def _factor(system, j: int) -> linalg.CholeskyFactor:
 def _coarse(j: int) -> linalg.CoarseSpace:
     """Coarse space of the level-``j`` detail Gram for two-level CG: the
     signed aggregates of :func:`prewavelet.coarse_basis`."""
-    return linalg.coarse_space(prewavelet.wavelet_gram(j), prewavelet.coarse_basis(j))
+    return linalg.CoarseSpace(prewavelet.wavelet_gram(j), prewavelet.coarse_basis(j))
 
 
 def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
@@ -53,8 +53,8 @@ def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarr
         x, report = linalg.cg_solve(system(j), rhs, tol=tol, coarse=coarse)
         if not report.converged:
             raise RuntimeError(
-                f"cg stalled at relative residual {report.relative_residual:.3g} "
-                f"after {report.iterations} iterations (tol {tol:.3g})"
+                f"cg did not reach tol {tol:.3g}: relative residual "
+                f"{report.relative_residual:.3g} after {report.iterations} iterations"
             )
         return x
     raise ValueError(f"solver must be 'direct' or 'cg', got {solver!r}")

@@ -154,9 +154,7 @@ def test_criterion_08_cg_direct_agreement():
 
 
 def test_criterion_09_benchmark_report():
-    (record,) = bench.run_benchmark(
-        problems=[bench.builtin_problems()["sine"]], levels=(6,), solvers=("direct",)
-    )
+    (record,) = bench.run_benchmark(problems=[bench.builtin_problems()["sine"]], levels=(6,))
     ok = (
         math.isfinite(record.h1_error)
         and math.isfinite(record.l2_error)

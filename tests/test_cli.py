@@ -217,6 +217,20 @@ def test_solve_reports_non_finite_load_at_once(monkeypatch, tmp_path, capsys):
     assert "numerical failure" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize(("level", "tol"), (("5", "1e-300"), ("6", "1e-16")))
+def test_solve_with_an_unreachable_cg_tolerance_exits_three(level, tol, tmp_path, capsys):
+    # rounding stops every detail solve's true residual near 1e-15..1e-14;
+    # at 1e-300 r^T z also underflows to zero, which once ended in a traceback
+    out = tmp_path / "out.csv"
+    code = cli.main(["solve", "--level", level, "--problem", "sine", "--method", "prewavelet",
+                     "--solver", "cg", "--tol", tol, "--out", str(out)])
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "did not reach tol" in err
+    assert "Traceback" not in err
+
+
 def test_verify_passes(capsys):
     assert cli.main(["verify", "--level", "2"]) == 0
     out = capsys.readouterr().out

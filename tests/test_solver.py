@@ -279,9 +279,9 @@ def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
     calls = []
     cg_solve = linalg.cg_solve
 
-    def recording(a, b, tol=1e-10, max_iter=None, coarse=None):
+    def recording(a, b, tol=1e-10, coarse=None):
         calls.append((a.shape[0], coarse))
-        return cg_solve(a, b, tol, max_iter, coarse)
+        return cg_solve(a, b, tol, coarse)
 
     monkeypatch.setattr(linalg, "cg_solve", recording)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
