@@ -144,8 +144,8 @@ def _accuracy(problem, level, solver_name, tol, rule):
 
 
 def run_benchmark(
-    problems: list[TestProblem] | None = None,
-    levels: tuple[int, ...] = (4, 5, 6),
+    problems: list[TestProblem],
+    levels: tuple[int, ...],
     tolerances: tuple[float | None, ...] = (None,),
     rule: quadrature.TriangleRule = quadrature.MID3,
 ) -> list[BenchRecord]:
@@ -156,8 +156,6 @@ def run_benchmark(
     number with CG to that tolerance.  The levels must be distinct and at
     least 1.
     """
-    if problems is None:
-        problems = list(builtin_problems().values())
     levels = sorted(levels)
     if levels and levels[0] < 1:
         raise ValueError(f"level must be >= 1, got {levels[0]}")

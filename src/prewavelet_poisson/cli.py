@@ -1,5 +1,7 @@
 """Command-line interface: solve, verify, and bench subcommands.
 
+``verify`` checks the detail basis and the two-level identity; ``bench``
+writes the accuracy table and is the check that the ladder reproduces FEM.
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical failure.  The maximum admissible level is capped by the
 PREWAVELET_MAX_LEVEL environment variable (default 7).
@@ -54,8 +56,14 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _rule(name: str) -> quadrature.TriangleRule:
-    return quadrature.RULES[name]
+def _builtin(name: str) -> bench.TestProblem:
+    """The builtin problem ``name``; any other name is a configuration error."""
+    builtins = bench.builtin_problems()
+    if name not in builtins:
+        raise _ConfigError(
+            f"unknown problem {name!r}: the builtin problems are {', '.join(sorted(builtins))}"
+        )
+    return builtins[name]
 
 
 def _is_finite_number(value) -> bool:
@@ -97,13 +105,8 @@ def _load_problem_file(path: str):
     name = doc.get("name", os.path.basename(path))
     a1, a2, a3, a4 = _corner_values(doc.get("corners", [0.0, 0.0, 0.0, 0.0]))
     rhs = doc.get("rhs")
-    builtins = bench.builtin_problems()
     if isinstance(rhs, str):
-        if rhs not in builtins:
-            raise _ConfigError(
-                f"unknown builtin rhs {rhs!r}; choose one of {', '.join(sorted(builtins))}"
-            )
-        g = builtins[rhs].g
+        g = _builtin(rhs).g
     elif isinstance(rhs, dict) and "values" in rhs:
         values = rhs["values"]
         if not (
@@ -136,28 +139,27 @@ def _write_out(path: str, write) -> None:
 def _cmd_solve(args: argparse.Namespace) -> int:
     level = _check_level(args.level)
     tol = _check_tol(args.tol)
-    rule = _rule(args.quad)
-    builtins = bench.builtin_problems()
-    exact = None
-    if args.problem in builtins:
-        problem = builtins[args.problem]
-        name, g, lift = problem.name, problem.g, None
-        exact = problem
-    elif args.problem.endswith(".json") or os.path.exists(args.problem):
+    # a builtin name wins over a file of the same name
+    if args.problem not in bench.builtin_problems() and (
+        args.problem.endswith(".json") or os.path.exists(args.problem)
+    ):
+        exact = None
         name, g, lift = _load_problem_file(args.problem)
     else:
-        raise _ConfigError(
-            f"unknown problem {args.problem!r}: pass a problem file or one of "
-            f"{', '.join(sorted(builtins))}"
-        )
+        exact = _builtin(args.problem)
+        name, g, lift = exact.name, exact.g, None
 
     start = time.perf_counter()
     try:
-        if args.method == "fem":
-            coeffs = solver.fem_solve(level, g, rule=rule, solver=args.solver, tol=tol)
-        else:
-            ladder = solver.multilevel_solve(level, g, rule=rule, solver=args.solver, tol=tol)
-            coeffs = ladder.prolong()
+        # FEM is the ladder with no detail levels
+        coeffs = solver.multilevel_solve(
+            level,
+            g,
+            quadrature.RULES[args.quad],
+            base_level=level if args.method == "fem" else 1,
+            solver=args.solver,
+            tol=tol,
+        ).prolong()
     # ValueError: the load came out non-finite (the flags are checked above)
     except (linalg.NotPositiveDefiniteError, RuntimeError, ValueError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
@@ -188,10 +190,12 @@ def _print_check(name: str, passed: bool, detail: str) -> bool:
     return passed
 
 
+_CHECKS = ("orthogonality", "rank", "dimensions", "identity")
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     level = _check_level(args.level)
-    checks = ("orthogonality", "rank", "dimensions", "identity", "equivalence")
-    wanted = checks if args.check == "all" else (args.check,)
+    wanted = _CHECKS if args.check == "all" else (args.check,)
     ok = True
     if "orthogonality" in wanted:
         for j in range(1, min(level, 6) + 1):
@@ -220,16 +224,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for j in range(1, min(level, 3) + 1):
             resid = solver.verify_identity(j)
             ok &= _print_check(f"identity j={j}", resid <= 1e-11, f"residual {resid:.3e}")
-    if "equivalence" in wanted:
-        g = bench.builtin_problems()["sine"].g
-        for j in range(1, min(level, 5) + 1):
-            load = quadrature.load_vector(j + 1, g)
-            ladder = solver.multilevel_from_load(j + 1, load).prolong()
-            direct = solver.multilevel_from_load(j + 1, load, base_level=j + 1).coarse
-            rel = bench.relative_difference(ladder, direct)
-            ok &= _print_check(
-                f"equivalence j={j}", rel <= 1e-9, f"relative difference {rel:.3e}"
-            )
     return OK if ok else VERIFY_FAILED
 
 
@@ -247,21 +241,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         _check_level(level)
     if len(set(levels)) < len(levels):
         raise _ConfigError(f"--levels must not repeat a level, got {args.levels!r}")
-    builtins = bench.builtin_problems()
-    names = [t.strip() for t in args.problems.split(",")]
-    unknown = [n for n in names if n not in builtins]
-    if unknown:
-        raise _ConfigError(
-            f"unknown problems {unknown}: choose from {', '.join(sorted(builtins))}"
-        )
-    problems = [builtins[n] for n in names]
+    problems = [_builtin(t.strip()) for t in args.problems.split(",")]
     tolerances = (None,)
     if args.solver == "cg":
         tolerances = tuple(
             _check_tol(t) for t in _parse_list("--tolerances", args.tolerances, float)
         )
     records = bench.run_benchmark(
-        problems=problems, levels=levels, tolerances=tolerances, rule=_rule(args.quad)
+        problems, levels, tolerances=tolerances, rule=quadrature.RULES[args.quad]
     )
     if args.out:
         _write_out(args.out, lambda f: bench.write_csv(records, f))
@@ -306,13 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", default="solution.csv", help="output CSV path")
     p_solve.set_defaults(fn=_cmd_solve)
 
-    p_verify = sub.add_parser("verify", help="run the basis and solver property checks")
+    p_verify = sub.add_parser("verify", help="run the detail-basis and two-level identity checks")
     p_verify.add_argument("--level", type=int, default=3, help="largest level to check")
-    p_verify.add_argument(
-        "--check",
-        choices=("all", "orthogonality", "rank", "dimensions", "identity", "equivalence"),
-        default="all",
-    )
+    p_verify.add_argument("--check", choices=("all", *_CHECKS), default="all")
     p_verify.set_defaults(fn=_cmd_verify)
 
     p_bench = sub.add_parser(

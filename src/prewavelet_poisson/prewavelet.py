@@ -12,9 +12,9 @@ remaining ``2^{j+3} - 8`` functions live on the two outermost fine
 rows/columns (the boundary strip) and are closed-form too: the 180-degree
 images of the closed-form rows next to the left and bottom edges, a
 level-independent table of five rows at the top-left corner and their images
-at the bottom-right corner, and one row supported along the whole top fine
-row.  That last one is tagged ``global``, all other strip rows ``strip``.
-Every coefficient is dyadic, so orthogonality to the coarse level is exact.
+at the bottom-right corner, and last one global row supported along the
+whole top fine row.  Every coefficient is dyadic, so orthogonality to the
+coarse level is exact.
 The basis is held in one form, the rows of :func:`wavelet_matrix`;
 :func:`strip_wavelets` also hands the strip rows out as stencils, and
 :func:`coarse_basis` groups the rows into the signed aggregates of the
@@ -34,16 +34,9 @@ from . import assembly, mesh
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """One boundary-strip basis function, expanded in fine-level hats.
+    """One boundary-strip basis function, expanded in fine-level hats:
+    stencil maps fine ``(i, k)`` pairs to coefficients."""
 
-    family is ``strip`` or ``global``.  position is the 180-degree image
-    ``(2^j - i, 2^j - k)`` of the coarse position ``(i, k)`` for a mirrored
-    closed-form row; the corner and global rows carry their seed fine vertex
-    instead.  stencil maps fine ``(i, k)`` pairs to coefficients.
-    """
-
-    family: str
-    position: tuple[int, int]
     stencil: dict[tuple[int, int], float]
 
 
@@ -160,12 +153,11 @@ def strip_wavelets(j: int) -> list[WaveletSpec]:
     order:
 
     * the 180-degree images of the closed-form rows that touch fine index 1
-      or 2 (families 1-2, families 3-5 at ``i == 1`` or ``k == 1``), with
-      position the image ``(2^j - i, 2^j - k)`` of the coarse position;
+      or 2 (families 1-2, families 3-5 at ``i == 1`` or ``k == 1``);
     * the five :data:`_CORNER_STENCILS` rows at the top-left corner, then
-      their images at the bottom-right corner, positioned at their seed;
-    * the one global row: 1 at ``(i, n)`` for even ``4 <= i < n``, -1/2 at
-      ``(n, n)`` and 1 at its seed ``(1, n-1)``.
+      their images at the bottom-right corner;
+    * last, the one global row: 1 at ``(i, n)`` for even ``4 <= i < n``,
+      -1/2 at ``(n, n)`` and 1 at its seed ``(1, n-1)``.
 
     At ``j == 1`` both corner patches are the whole 3x3 grid; only the
     images of corner rows 3 and 4 are independent of the rest there.
@@ -176,33 +168,24 @@ def strip_wavelets(j: int) -> list[WaveletSpec]:
         raise ValueError(f"level must be >= 1, got {j}")
     n = 2 ** (j + 1) - 1
 
-    def image(p: tuple[int, int]) -> tuple[int, int]:
-        return n + 1 - p[0], n + 1 - p[1]
-
     def mirrored(stencil: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-        return {image(p): v for p, v in stencil.items()}
+        return {(n + 1 - i, n + 1 - k): v for (i, k), v in stencil.items()}
 
-    out = []
+    stencils = []
     for family, ii, kk in _family_positions(j):
         touch = np.minimum(ii, kk) <= 1
-        out += [
-            WaveletSpec("strip", (2**j - i, 2**j - k), mirrored(_family_stencil(family, i, k)))
+        stencils += [
+            mirrored(_family_stencil(family, i, k))
             for i, k in zip(ii[touch].tolist(), kk[touch].tolist())
         ]
-    corners = [
-        ((rows[-1][0], n + rows[-1][1]), {(i, n + dk): v for i, dk, v in rows})
-        for rows in _CORNER_STENCILS
-    ]
-    out += [WaveletSpec("strip", seed, c) for seed, c in corners]
-    out += [
-        WaveletSpec("strip", image(seed), mirrored(c))
-        for seed, c in (corners if j > 1 else corners[2:4])
-    ]
+    corners = [{(i, n + dk): v for i, dk, v in rows} for rows in _CORNER_STENCILS]
+    stencils += corners
+    stencils += [mirrored(c) for c in (corners if j > 1 else corners[2:4])]
     glob = {(i, n): 1.0 for i in range(4, n, 2)}
     glob[(n, n)] = -0.5
     glob[(1, n - 1)] = 1.0
-    out.append(WaveletSpec("global", (1, n - 1), glob))
-    return out
+    stencils.append(glob)
+    return [WaveletSpec(s) for s in stencils]
 
 
 @lru_cache(maxsize=None)

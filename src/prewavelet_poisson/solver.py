@@ -65,7 +65,7 @@ def fem_solve(
     g,
     rule: quadrature.TriangleRule = quadrature.MID3,
     solver: str = "direct",
-    tol: float = 1e-12,
+    tol: float = 1e-10,
 ) -> np.ndarray:
     """Galerkin coefficients of the level-``j`` approximation to -lap(u) = g.
 
@@ -113,7 +113,7 @@ def multilevel_from_load(
     fine_load: np.ndarray,
     base_level: int = 1,
     solver: str = "direct",
-    tol: float = 1e-12,
+    tol: float = 1e-10,
 ) -> MultilevelSolution:
     """Multiresolution ladder driven by a given finest-level load vector.
 
@@ -151,7 +151,7 @@ def multilevel_solve(
     rule: quadrature.TriangleRule = quadrature.MID3,
     base_level: int = 1,
     solver: str = "direct",
-    tol: float = 1e-12,
+    tol: float = 1e-10,
 ) -> MultilevelSolution:
     """Coarse solve plus detail corrections up to ``top_level`` for source g.
 

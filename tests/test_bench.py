@@ -186,6 +186,6 @@ def test_clear_caches_empties_every_cache():
 
 
 def test_relative_difference_falls_back_to_absolute_on_a_zero_reference():
-    # the formula of both ladder_vs_fem and verify's equivalence check
+    # the formula of ladder_vs_fem
     assert bench.relative_difference(np.array([1.0, 0.5]), np.array([2.0, 1.0])) == 0.5
     assert bench.relative_difference(np.array([0.0, -1e-3]), np.zeros(2)) == 1e-3

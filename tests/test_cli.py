@@ -80,6 +80,32 @@ def test_solve_rejects_unknown_problem(tmp_path, capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("method", ("direct", "cg"))
+def test_solve_fem_writes_the_values_of_fem_solve(method, tmp_path):
+    out = tmp_path / "fem.csv"
+    assert cli.main(["solve", "--level", "4", "--problem", "exp", "--method", "fem",
+                     "--solver", method, "--out", str(out)]) == 0
+    got = np.array([float(r["value"]) for r in csv.DictReader(out.open())])
+    want = solver.fem_solve(4, bench.builtin_problems()["exp"].g, solver=method, tol=1e-10)
+    assert np.array_equal(got, want)
+
+
+def test_every_unknown_problem_name_gets_the_same_message(tmp_path, capsys):
+    # solve --problem, a problem file's "rhs" and bench --problems
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({"rhs": "zzz"}))
+    errors = []
+    for problem in ("zzz", str(path)):
+        assert cli.main(["solve", "--level", "2", "--problem", problem,
+                         "--out", str(tmp_path / "x.csv")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert cli.main(["bench", "--levels", "2", "--problems", "sine,zzz"]) == 2
+    errors.append(capsys.readouterr().err)
+    assert errors == [
+        "configuration error: unknown problem 'zzz': the builtin problems are exp, poly, sine\n"
+    ] * 3
+
+
 def test_solve_problem_file_with_corners(tmp_path):
     # constant corner values shift the reconstructed solution by exactly one
     doc = {"name": "shifted", "corners": [1.0, 1.0, 1.0, 1.0], "rhs": "poly"}
@@ -238,6 +264,14 @@ def test_verify_passes(capsys):
     assert "FAIL" not in out
 
 
+def test_verify_rejects_the_equivalence_check(capsys):
+    # agreement with FEM is bench's gate
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--check", "equivalence"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'equivalence'" in capsys.readouterr().err
+
+
 def test_verify_single_check(capsys):
     assert cli.main(["verify", "--level", "2", "--check", "orthogonality"]) == 0
     out = capsys.readouterr().out
@@ -267,7 +301,7 @@ def test_verify_perturbation_is_caught(monkeypatch, capsys):
     finally:
         oracle.clear_caches()
     out = capsys.readouterr().out
-    for check in ("orthogonality", "identity", "equivalence"):
+    for check in ("orthogonality", "identity"):
         assert f"FAIL {check} j=" in out
 
 

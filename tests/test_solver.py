@@ -259,6 +259,16 @@ def test_cg_solver_path_matches_direct():
         solver.fem_solve(2, g, solver="lu")
 
 
+def test_fem_cg_converges_at_level_eight_at_the_default_tol():
+    # the stiffness CG's true residual stalls near 4e-12 at level 8, so the
+    # default tol has to lie above it
+    g = bench.builtin_problems()["sine"].g
+    tol = 1e-10  # the default
+    direct = solver.fem_solve(8, g)
+    viacg = solver.fem_solve(8, g, solver="cg")
+    assert bench.relative_difference(viacg, direct) <= 10 * tol
+
+
 def test_cg_ladder_matches_direct_fem():
     g = bench.builtin_problems()["sine"].g
     tol = 1e-10
