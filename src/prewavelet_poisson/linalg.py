@@ -7,25 +7,22 @@ its size).  ``CholeskyFactor`` is the one direct path and factors either
 one the same way: a sparse symmetric ``P A P^T = L D L^T`` factorization
 (SuperLU with a minimum-degree ordering of ``A + A^T`` and diagonal pivots
 only), whose fill follows the sparsity rather than the bandwidth.
-``cg_solve`` is conjugate gradients from a zero start, preconditioned with
-the inverse diagonal (Jacobi), which evens out the spread of the detail
-Gram's diagonal (from 8 up to ``2^{j+2} - 2`` on the global row).  Given a
-``CoarseSpace(a, Z)`` it adds a coarse correction, ``M = D^-1 + Z E^-1 Z^T``
-with ``Z`` a sparse basis of the coarse space (for the detail Grams, signed
-aggregates that cover the near-kernel and the boundary strip) and
-``E = Z^T A Z``, formed by the coarse space itself, kept sparse and factored
-by ``CholeskyFactor``: a two-level preconditioner that removes the smooth
-error modes Jacobi leaves behind.  Either way it has one stopping rule: it
-reports converged only when the true relative residual of the returned
-solution meets the tolerance, and it reports that residual.  Its inner
-products and norms bypass BLAS.  Both reject a matrix that is not square
-and symmetric, or has non-finite entries, with ValueError, so neither
-hands back the solution of a system that cannot be SPD.
+``cg_solve`` is conjugate gradients from a zero start with the caller's
+preconditioner, any SPD map ``r -> z`` (the solver passes one multigrid
+V-cycle).  It has one stopping rule: it reports converged only when the
+true relative residual of the returned solution meets the tolerance, and
+it reports that residual.  Its inner products and norms bypass BLAS.  Both
+reject a matrix that is not square and symmetric, or has non-finite
+entries, with ValueError, so neither hands back the solution of a system
+that cannot be SPD.  ``CholeskyFactor`` checks once per factor;
+``cg_solve`` checks on every call, unless it is given a
+``SymmetricMatrix``, which was checked once when it was built.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,23 +102,6 @@ class CholeskyFactor:
         return self._lu.solve(b)
 
 
-class CoarseSpace:
-    """Galerkin coarse space of ``a`` for :func:`cg_solve`.
-
-    basis is the sparse ``n x nc`` matrix ``Z`` whose columns span the
-    coarse space; factor is the :class:`CholeskyFactor` of the Galerkin
-    matrix ``E = Z^T A Z``, formed here, so the two always fit each other.
-    ``E`` is SPD when ``a`` is and ``Z`` has full column rank, and the
-    factor proves it.  ``a`` is not checked again here: :func:`cg_solve`
-    checks it on every call.  For the detail Gram at ``j = 6`` and its
-    587-column signed aggregation basis the factor holds about 18k entries.
-    """
-
-    def __init__(self, a, basis) -> None:
-        self.basis = sp.csr_matrix(basis, dtype=float)
-        self.factor = CholeskyFactor(self.basis.T @ sp.csr_matrix(a, dtype=float) @ self.basis)
-
-
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
     """``u . v`` summed by NumPy's own loops: OpenBLAS threads ``ddot`` on
     long vectors, and the first threaded call in a fresh process can stall
@@ -129,19 +109,27 @@ def _dot(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.einsum("i,i->", u, v))
 
 
+class SymmetricMatrix:
+    """A matrix checked once, when built, for repeated :func:`cg_solve`
+    calls: ``csr`` is the checked CSR matrix and ``shape`` its shape.  A
+    matrix that is not square and symmetric, or has non-finite entries,
+    raises ValueError."""
+
+    def __init__(self, a) -> None:
+        self.csr = _check_matrix(a)
+        self.shape = self.csr.shape
+
+
 def cg_solve(
-    a, b, tol: float = 1e-10, coarse: CoarseSpace | None = None
+    a, b, precondition: Callable[[np.ndarray], np.ndarray], tol: float = 1e-10
 ) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients from a zero start.
 
-    The preconditioner is the inverse of the diagonal of ``a`` (Jacobi); a
-    non-positive diagonal entry proves ``a`` is not positive definite and
-    raises NotPositiveDefiniteError.  With a ``coarse`` space it is the
-    two-level ``D^-1 + Z E^-1 Z^T``, still SPD, whose coarse part costs a
-    product with ``Z^T``, one solve with the sparse factor of ``E`` and a
-    product with ``Z`` per iteration; a coarse space built for a matrix of
-    another size raises ValueError.  A right-hand side whose norm is not
-    finite raises ValueError before any iteration.
+    ``a`` is a matrix, checked here, or a :class:`SymmetricMatrix`, checked
+    when it was built.  ``precondition`` maps a residual ``r`` to ``z = M r``
+    for an SPD ``M`` approximating the inverse of ``a``; it is called once
+    per iteration.  A right-hand side whose norm is not finite raises
+    ValueError before any iteration.
 
     One stopping rule.  CG iterates on its recurrence residual ``r``, which
     keeps falling after the true residual ``b - A x`` has stopped at the
@@ -151,43 +139,27 @@ def cg_solve(
     ``tol``; otherwise it stops, not converged, at twice the iteration at
     which ``r`` first met ``tol``.  It also stops, not converged, after
     ``10 n`` iterations, when ``p^T A p`` is not positive, or when ``r^T z``
-    has underflowed below the smallest normal float: no step can be taken,
-    or none computed to working precision (the recurrence then only grows
-    rounding noise, until the cap).  The report carries the true relative
-    residual of the returned ``x``, and ``report.converged ==
+    is below the smallest normal float: no step can be taken, or none
+    computed to working precision (the recurrence then only grows rounding
+    noise, until the cap).  The report carries the true relative residual
+    of the returned ``x``, and ``report.converged ==
     (report.relative_residual <= tol)`` always holds; the partial iterate
     is returned either way.  Inner products and norms go through
     :func:`_dot`, not BLAS.
     """
-    a = _check_matrix(a)
+    a = (a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)).csr
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.shape != (n,):
         raise ValueError(f"right-hand side length {b.shape} does not match matrix of size {n}")
     if not (0.0 < tol < 1.0):
         raise ValueError(f"tolerance must lie in (0, 1), got {tol}")
-    if coarse is not None:
-        if coarse.basis.shape[0] != n:
-            raise ValueError(
-                f"coarse basis of shape {coarse.basis.shape} does not fit a matrix of size {n}"
-            )
-        zt = coarse.basis.T
     x = np.zeros(n)
     bnorm = math.sqrt(_dot(b, b))
     if not np.isfinite(bnorm):
         raise ValueError(f"right-hand side norm is {bnorm}, not finite")
     if bnorm == 0.0:
         return x, SolverReport(0, 0.0, True)
-    d = a.diagonal()
-    if np.any(d <= 0):
-        raise NotPositiveDefiniteError("diagonal has non-positive entries")
-    inv_diag = 1.0 / d
-
-    def precondition(r: np.ndarray) -> np.ndarray:
-        z = inv_diag * r
-        if coarse is not None:
-            z += coarse.basis @ coarse.factor.solve(zt @ r)
-        return z
 
     def true_residual() -> float:
         res = b - a @ x

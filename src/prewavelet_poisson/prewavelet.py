@@ -16,9 +16,9 @@ at the bottom-right corner, and last one global row supported along the
 whole top fine row.  Every coefficient is dyadic, so orthogonality to the
 coarse level is exact.
 The basis is held in one form, the rows of :func:`wavelet_matrix`;
-:func:`strip_wavelets` also hands the strip rows out as stencils, and
-:func:`coarse_basis` groups the rows into the signed aggregates of the
-two-level detail CG.
+:func:`strip_wavelets` also hands the strip rows out as stencils.  Only the
+direct ladder solves in this basis; the CG ladder finds the same detail
+components in nodal coordinates.
 """
 
 from __future__ import annotations
@@ -64,65 +64,6 @@ def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     k, i = np.divmod(np.arange(top * top), top)
     out = [(1, np.zeros_like(edge), edge), (2, edge, np.zeros_like(edge))]
     return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
-
-
-#: Coarse-space group and sign of each family's rows, then of the strip rows
-#: that are their 180-degree images: groups 0-1 are the edge families, 2 is
-#: ``f3 - f4``, 3 is family 5, 4-5 are the right and top edges; group 6 holds
-#: the corner rows and the global row, one unknown each.  The image of
-#: family 3 is +family 4 (sign -1 in ``f3 - f4``), of family 4 +family 3, of
-#: family 5 -family 5.
-_COARSE_GROUPS = {
-    1: (0, 1.0, 4, 1.0),
-    2: (1, 1.0, 5, 1.0),
-    3: (2, 1.0, 2, -1.0),
-    4: (2, -1.0, 2, 1.0),
-    5: (3, 1.0, 3, -1.0),
-}
-
-
-def coarse_basis(j: int) -> sp.csr_matrix:
-    """Signed aggregation basis ``Z`` of the two-level detail CG.
-
-    One row per row of :func:`wavelet_matrix`, each with exactly one entry
-    ``+-1``; one column per coarse unknown.  Positions are grouped into
-    blocks of ``s`` per axis, ``s = 2^max(0, j-4)``, so at most 16 blocks
-    per axis.  Per block there is one aggregate of family 1 and one of
-    family 2 along their edges, one of ``f3 - f4`` (family 4 enters with
-    -1) and one of family 5: the near-kernel fields of the families.  A
-    mirrored strip row joins the aggregate of its image position (block
-    clipped to the last one) with the sign of its image, as in
-    :data:`_COARSE_GROUPS`; the images of families 1 and 2 form right-edge
-    and top-edge aggregates, in runs of ``s``.  The corner rows and the
-    global row get one unknown each.  Every column holds a row, so
-    ``Z^T A Z`` is SPD when ``A`` is.  587 columns for ``j >= 6``.
-    """
-    s = 2 ** max(0, j - 4)
-    blocks = -(-(2**j - 2) // s)  # per axis: ceil(positions / s)
-
-    def block(i, k):
-        # the edge families sit at i or k == 0 (block -1) and their images
-        # at 2^j (the last block), so one key serves every group
-        bi, bk = (np.minimum((p - 1) // s, blocks - 1) for p in (i, k))
-        return bk * blocks + bi
-
-    rows, images = [], []  # (group, keys, sign) in row order
-    for family, i, k in _family_positions(j):
-        group, sign, image_group, image_sign = _COARSE_GROUPS[family]
-        rows.append((group, block(i, k), sign))
-        touch = np.minimum(i, k) <= 1
-        images.append((image_group, block(2**j - i[touch], 2**j - k[touch]), image_sign))
-    rows += images
-    # the rows left are the corner rows and the global row
-    own = mesh.n_interior(j + 1) - mesh.n_interior(j) - sum(len(key) for _, key, _ in rows)
-    rows.append((6, np.arange(own), 1.0))
-    group = np.concatenate([np.full(len(key), g) for g, key, _ in rows])
-    sign = np.concatenate([np.full(len(key), v) for _, key, v in rows])
-    key = np.concatenate([key for _, key, _ in rows])
-    # keys lie in -blocks..blocks^2 - 1 or 0..own - 1, fewer than len(key) + 1
-    # integers, so this integer sorts as (group, key) does
-    _, col = np.unique(group * (len(key) + 1) + key, return_inverse=True)
-    return sp.csr_matrix((sign, (np.arange(len(col)), col)), shape=(len(col), col.max() + 1))
 
 
 def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):

@@ -6,28 +6,39 @@ level (the coarse load is exactly the refinement matrix applied to the fine
 load), the prolonged ladder coefficients reproduce the direct fine-level
 solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
-the ladder with no detail levels (``base_level == top_level``).  Each
-system is factored once per level and cached, or solved by conjugate
-gradients: Jacobi-preconditioned on the stiffness matrix, two-level on the
-detail Grams (Jacobi plus a coarse correction on the signed aggregates of
-``prewavelet.coarse_basis``, whose Galerkin matrix is factored sparsely and
-cached per level).  A non-finite load is rejected before any solve.  Error
-norms are measured with the degree-5 rule whatever the assembly rule, on
-the same cell grid as the load vector: the nodal values at each triangle
-vertex are shifted slices of one zero-bordered node array, and the
-discrete gradient comes from the barycentric gradients of the two
-reference triangles.
+the ladder with no detail levels (``base_level == top_level``).  The
+direct ladder is the paper's method in the prewavelet basis: each detail
+Gram is factored once per level and cached, as is each stiffness matrix.
+The CG ladder never forms a detail Gram: each rung keeps the level-``j``
+solution ``u_j`` and finds the same ``W_j`` component in nodal coordinates,
+as the correction ``w`` to ``R_j^T u_j`` that solves the level ``j + 1``
+stiffness system, by CG preconditioned with one multigrid V-cycle over the
+cached stiffness and refinement matrices (``A_{j+1}`` is well conditioned
+on ``W_j``, the prewavelet basis is what is not).  Its iteration count per
+rung does not grow with the level.  A non-finite load is rejected before
+any solve.  Error norms are measured with the degree-5 rule whatever the
+assembly rule, on the same cell grid as the load vector: the nodal values
+at each triangle vertex are shifted slices of one zero-bordered node
+array, and the discrete gradient comes from the barycentric gradients of
+the two reference triangles.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import assembly, linalg, mesh, prewavelet, quadrature
+
+
+#: Damped-Jacobi weight of the V-cycle's smoother, and its sweeps before and
+#: after each coarse correction.
+SMOOTHING_WEIGHT = 0.8
+SMOOTHING_SWEEPS = 1
 
 
 @lru_cache(maxsize=None)
@@ -36,21 +47,59 @@ def _factor(system, j: int) -> linalg.CholeskyFactor:
 
 
 @lru_cache(maxsize=None)
-def _coarse(j: int) -> linalg.CoarseSpace:
-    """Coarse space of the level-``j`` detail Gram for two-level CG: the
-    signed aggregates of :func:`prewavelet.coarse_basis`."""
-    return linalg.CoarseSpace(prewavelet.wavelet_gram(j), prewavelet.coarse_basis(j))
+def _stiffness(j: int) -> linalg.SymmetricMatrix:
+    """The level-``j`` stiffness matrix, checked once for every CG solve."""
+    return linalg.SymmetricMatrix(assembly.stiffness_matrix(j))
 
 
-def _solve(system, j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
-    """Solve ``system(j) x = rhs``, where ``system`` is
-    ``assembly.stiffness_matrix`` or ``prewavelet.wavelet_gram``.  CG on a
-    detail Gram adds the coarse correction of :func:`_coarse`."""
+@lru_cache(maxsize=None)
+def _prolongation(j: int) -> sp.csr_matrix:
+    """``refinement_matrix(j).T`` as CSR, transposed once: level-``j``
+    nodal coefficients to level ``j + 1``."""
+    return assembly.refinement_matrix(j).T.tocsr()
+
+
+@lru_cache(maxsize=None)
+def _smoother(j: int) -> np.ndarray:
+    """Damped-Jacobi weights of level ``j``: ``SMOOTHING_WEIGHT / diag(A_j)``."""
+    return SMOOTHING_WEIGHT / assembly.stiffness_matrix(j).diagonal()
+
+
+def _v_cycle(j: int, r: np.ndarray) -> np.ndarray:
+    """One symmetric V-cycle for the level-``j`` stiffness matrix ``A_j``
+    applied to ``r``, from a zero start.
+
+    ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps, then the restricted residual
+    is corrected by the V-cycle of level ``j - 1`` and prolonged back, then
+    as many sweeps again; level 1 is solved by its factor.  The coarse
+    matrices are the stiffness matrices themselves, since ``R A_j R^T ==
+    A_{j-1}`` holds exactly for ``R = refinement_matrix(j - 1)``.  The
+    same Jacobi sweeps on both sides make the map ``r -> z`` symmetric, and
+    ``SMOOTHING_WEIGHT * lambda_max(D^-1 A) < 2`` (the five-point stencil
+    keeps ``lambda_max(D^-1 A)`` below 2) makes it positive definite: a CG
+    preconditioner whose iteration count does not grow with ``j``.
+    """
+    if j == 1:
+        return _factor(assembly.stiffness_matrix, 1).solve(r)
+    a = _stiffness(j).csr
+    weights = _smoother(j)
+    z = weights * r
+    for _ in range(SMOOTHING_SWEEPS - 1):
+        z += weights * (r - a @ z)
+    coarse = _v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ (r - a @ z))
+    z += _prolongation(j - 1) @ coarse
+    for _ in range(SMOOTHING_SWEEPS):
+        z += weights * (r - a @ z)
+    return z
+
+
+def _solve(j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
+    """Solve ``stiffness_matrix(j) x = rhs``: by its cached factor, or by
+    CG preconditioned with one :func:`_v_cycle` per iteration."""
     if solver == "direct":
-        return _factor(system, j).solve(rhs)
+        return _factor(assembly.stiffness_matrix, j).solve(rhs)
     if solver == "cg":
-        coarse = _coarse(j) if system is prewavelet.wavelet_gram else None
-        x, report = linalg.cg_solve(system(j), rhs, tol=tol, coarse=coarse)
+        x, report = linalg.cg_solve(_stiffness(j), rhs, partial(_v_cycle, j), tol)
         if not report.converged:
             raise RuntimeError(
                 f"cg did not reach tol {tol:.3g}: relative residual "
@@ -79,7 +128,14 @@ def fem_solve(
 
 @dataclass(frozen=True)
 class MultilevelSolution:
-    """Coarse coefficients plus one detail vector per refinement step."""
+    """Coarse coefficients plus one detail vector per refinement step.
+
+    ``details[j - base_level]`` is the nodal ``W_j`` component of the
+    level ``j + 1`` solution, ``u_{j+1} - R_j^T u_j`` with ``R_j =
+    refinement_matrix(j)``, of length ``n_interior(j + 1)``: on the direct
+    ladder ``wavelet_matrix(j).T`` times the prewavelet coefficients, on
+    the CG ladder the correction CG found.
+    """
 
     base_level: int
     coarse: np.ndarray
@@ -103,8 +159,7 @@ class MultilevelSolution:
             )
         c = self.coarse
         for j in range(self.base_level, level):
-            b = self.details[j - self.base_level]
-            c = assembly.refinement_matrix(j).T @ c + prewavelet.wavelet_matrix(j).T @ b
+            c = _prolongation(j) @ c + self.details[j - self.base_level]
         return c
 
 
@@ -121,7 +176,10 @@ def multilevel_from_load(
     matrices, so the ladder is exactly consistent: prolonging the result
     reproduces the direct solve against ``fine_load`` to solver precision,
     and truncating a deeper ladder reproduces a shallower one exactly.  A
-    load with NaN or infinite entries raises ValueError.
+    load with NaN or infinite entries raises ValueError.  Each detail is
+    the nodal ``W_j`` component of :class:`MultilevelSolution`: on the
+    direct ladder from the factored detail Gram, on the CG ladder from the
+    correction ``w`` with ``A_{j+1} (R_j^T u_j + w) = f_{j+1}`` to ``tol``.
     """
     if not (1 <= base_level <= top_level):
         raise ValueError(f"need 1 <= base level <= top level, got {base_level}..{top_level}")
@@ -137,11 +195,18 @@ def multilevel_from_load(
     loads = {top_level: fine_load}
     for j in range(top_level - 1, base_level - 1, -1):
         loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
-    coarse = _solve(assembly.stiffness_matrix, base_level, loads[base_level], solver, tol)
+    coarse = _solve(base_level, loads[base_level], solver, tol)
     details = []
+    u = coarse
     for j in range(base_level, top_level):
-        rhs = prewavelet.wavelet_matrix(j) @ loads[j + 1]
-        details.append(_solve(prewavelet.wavelet_gram, j, rhs, solver, tol))
+        if solver == "direct":
+            q = prewavelet.wavelet_matrix(j)
+            w = q.T @ _factor(prewavelet.wavelet_gram, j).solve(q @ loads[j + 1])
+        else:
+            pu = _prolongation(j) @ u
+            w = _solve(j + 1, loads[j + 1] - _stiffness(j + 1).csr @ pu, solver, tol)
+            u = pu + w
+        details.append(w)
     return MultilevelSolution(base_level, coarse, tuple(details))
 
 

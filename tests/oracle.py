@@ -141,3 +141,10 @@ def clear_caches():
         for f in vars(module).values():
             if hasattr(f, "cache_clear"):
                 f.cache_clear()
+
+
+def jacobi(a):
+    """The Jacobi preconditioner of ``a`` for ``linalg.cg_solve``:
+    ``r -> r / diag(a)``."""
+    d = a.diagonal()
+    return lambda r: r / d

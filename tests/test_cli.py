@@ -245,7 +245,7 @@ def test_solve_reports_non_finite_load_at_once(monkeypatch, tmp_path, capsys):
 
 @pytest.mark.parametrize(("level", "tol"), (("5", "1e-300"), ("6", "1e-16")))
 def test_solve_with_an_unreachable_cg_tolerance_exits_three(level, tol, tmp_path, capsys):
-    # rounding stops every detail solve's true residual near 1e-15..1e-14;
+    # rounding stops every rung's true residual near 2e-16..4e-16;
     # at 1e-300 r^T z also underflows to zero, which once ended in a traceback
     out = tmp_path / "out.csv"
     code = cli.main(["solve", "--level", level, "--problem", "sine", "--method", "prewavelet",

@@ -1,10 +1,13 @@
 """Linear solver tests against a hand-rolled elimination oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from prewavelet_poisson import assembly, bench, linalg, prewavelet, quadrature
+import oracle
+from prewavelet_poisson import assembly, bench, linalg, prewavelet, quadrature, solver
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -105,13 +108,13 @@ def test_shape_and_symmetry_validation():
 def test_cg_rejects_asymmetric_matrix():
     for asym in ([[4.0, 1.0], [0.0, 4.0]], [[4.0, 3.0], [-3.0, 4.0]]):
         with pytest.raises(ValueError, match="not symmetric"):
-            linalg.cg_solve(sp.csr_matrix(np.array(asym)), np.ones(2))
+            linalg.cg_solve(sp.csr_matrix(np.array(asym)), np.ones(2), lambda r: r)
 
 
 def test_cg_matches_oracle():
     a = assembly.stiffness_matrix(3)
     b = quadrature.load_vector(3, lambda x, y: np.cos(x + y))
-    x, report = linalg.cg_solve(a, b, tol=1e-12)
+    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-12)
     assert report.converged
     np.testing.assert_allclose(x, _gauss_solve(a.toarray(), b), rtol=1e-8)
     # reported residual is the true one
@@ -124,7 +127,7 @@ def test_cg_iterations_monotone_in_tolerance():
     b = quadrature.load_vector(4, lambda x, y: np.ones_like(x))
     prev = 0
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
-        _, report = linalg.cg_solve(a, b, tol=tol)
+        _, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=tol)
         assert report.converged
         assert report.iterations >= prev
         prev = report.iterations
@@ -132,7 +135,7 @@ def test_cg_iterations_monotone_in_tolerance():
 
 def test_cg_zero_rhs_short_circuits():
     a = assembly.stiffness_matrix(2)
-    x, report = linalg.cg_solve(a, np.zeros(a.shape[0]))
+    x, report = linalg.cg_solve(a, np.zeros(a.shape[0]), oracle.jacobi(a))
     assert np.array_equal(x, np.zeros(a.shape[0]))
     assert report.iterations == 0
     assert report.converged
@@ -142,7 +145,7 @@ def test_cg_non_convergence_reports_partial():
     # rounding keeps the true residual near 1e-14 here, so 1e-16 is out of reach
     a = assembly.stiffness_matrix(4)
     b = quadrature.load_vector(4, lambda x, y: np.ones_like(x))
-    x, report = linalg.cg_solve(a, b, tol=1e-16)
+    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-16)
     assert not report.converged
     assert report.relative_residual > 1e-16
     assert 0 < report.iterations < 10 * a.shape[0]
@@ -156,7 +159,7 @@ def test_cg_rejects_non_finite_rhs(bad):
     b = np.ones(a.shape[0])
     b[5] = bad
     with pytest.raises(ValueError, match="not finite"):
-        linalg.cg_solve(a, b)
+        linalg.cg_solve(a, b, oracle.jacobi(a))
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
@@ -172,15 +175,15 @@ def test_cg_rejects_non_finite_matrix(bad):
     a = assembly.stiffness_matrix(3).copy()
     a[5, 5] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        linalg.cg_solve(a, np.ones(a.shape[0]))
+        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a))
 
 
 def test_cg_tolerance_validation():
     a = assembly.stiffness_matrix(2)
     with pytest.raises(ValueError):
-        linalg.cg_solve(a, np.ones(a.shape[0]), tol=0.0)
+        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a), tol=0.0)
     with pytest.raises(ValueError):
-        linalg.cg_solve(a, np.ones(a.shape[0]), tol=2.0)
+        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a), tol=2.0)
 
 
 def test_cg_preconditioned_matches_cholesky_on_detail_gram():
@@ -189,23 +192,17 @@ def test_cg_preconditioned_matches_cholesky_on_detail_gram():
     d = a.diagonal()
     assert d.max() > 10.0 * d.min()
     b = np.cos(np.arange(a.shape[0], dtype=float))
-    x, report = linalg.cg_solve(a, b, tol=1e-12)
+    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-12)
     assert report.converged
     direct = linalg.CholeskyFactor(a).solve(b)
     np.testing.assert_allclose(x, direct, rtol=1e-8)
-
-
-def test_cg_non_positive_diagonal_raises():
-    a = -assembly.stiffness_matrix(2)
-    with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.cg_solve(a, np.ones(a.shape[0]))
 
 
 def _detail_cg_iterations(j: int) -> int:
     g = bench.builtin_problems()["sine"].g
     a = prewavelet.wavelet_gram(j)
     b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
-    _, report = linalg.cg_solve(a, b, tol=1e-10)
+    _, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-10)
     assert report.converged
     return report.iterations
 
@@ -221,62 +218,53 @@ def test_cg_detail_iterations_at_level_six():
     assert _detail_cg_iterations(6) <= 800
 
 
-def _coarse(j: int) -> linalg.CoarseSpace:
-    return linalg.CoarseSpace(prewavelet.wavelet_gram(j), prewavelet.coarse_basis(j))
-
-
 @pytest.mark.parametrize("j", (2, 3, 4, 5))
 def test_coarse_matrix_is_the_sparse_galerkin_product(j):
-    # the coarse factor solves E = Z^T A Z, formed here with a dense Z
-    a = prewavelet.wavelet_gram(j)
-    z = prewavelet.coarse_basis(j).toarray()
-    e = z.T @ (a @ z)
-    coarse = _coarse(j)
-    assert coarse.factor.n == e.shape[0] == coarse.basis.shape[1]
-    b = np.cos(np.arange(e.shape[0], dtype=float))
-    x = coarse.factor.solve(b)
-    np.testing.assert_allclose(x, np.linalg.solve(e, b), rtol=1e-9, atol=1e-12)
-    assert np.linalg.norm(e @ x - b) <= 1e-10 * np.linalg.norm(b)
+    # the V-cycle's coarse matrix at level j is the stiffness matrix itself:
+    # R A_{j+1} R^T with the cached CSR transpose, exactly, entry for entry
+    r = assembly.refinement_matrix(j)
+    galerkin = r @ assembly.stiffness_matrix(j + 1) @ solver._prolongation(j)
+    assert (solver._prolongation(j) != r.T).nnz == 0
+    assert (galerkin != assembly.stiffness_matrix(j)).nnz == 0
 
 
-def test_two_level_cg_matches_cholesky_on_detail_gram():
-    a = prewavelet.wavelet_gram(5)
-    b = np.cos(np.arange(a.shape[0], dtype=float))
-    x, report = linalg.cg_solve(a, b, tol=1e-12, coarse=_coarse(5))
-    assert report.converged
-    np.testing.assert_allclose(x, linalg.CholeskyFactor(a).solve(b), rtol=1e-8)
-    true_rel = np.linalg.norm(a @ x - b) / np.linalg.norm(b)
-    assert report.relative_residual == pytest.approx(true_rel, rel=1e-6, abs=1e-15)
+def test_cg_checks_a_symmetric_matrix_once(monkeypatch):
+    # a SymmetricMatrix is checked when built, not on each solve; a plain
+    # matrix is checked on every call
+    a = assembly.stiffness_matrix(3)
+    checked = linalg.SymmetricMatrix(a)
+    calls = []
+    check = linalg._check_matrix
 
+    def counting(m):
+        calls.append(m.shape)
+        return check(m)
 
-@pytest.mark.parametrize(("j", "bound"), ((4, 60), (5, 80), (6, 115)))
-def test_two_level_cg_detail_iterations(j, bound):
-    # Jacobi alone takes about 188, 363 and 735; the coarse space about 50, 71, 104
-    g = bench.builtin_problems()["sine"].g
-    a = prewavelet.wavelet_gram(j)
-    b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
-    _, report = linalg.cg_solve(a, b, tol=1e-10, coarse=_coarse(j))
-    assert report.converged
-    assert report.iterations <= bound
-
-
-def test_cg_rejects_coarse_space_that_does_not_fit():
-    a = prewavelet.wavelet_gram(4)
-    # 2760 rows for a matrix of 736
-    with pytest.raises(ValueError, match="does not fit"):
-        linalg.cg_solve(a, np.ones(a.shape[0]), coarse=_coarse(5))
+    monkeypatch.setattr(linalg, "_check_matrix", counting)
+    b = np.ones(a.shape[0])
+    x, _ = linalg.cg_solve(checked, b, oracle.jacobi(a))
+    assert calls == []
+    y, _ = linalg.cg_solve(a, b, oracle.jacobi(a))
+    assert calls == [a.shape]
+    assert np.array_equal(x, y)
+    with pytest.raises(ValueError, match="not symmetric"):
+        linalg.SymmetricMatrix(sp.csr_matrix(np.array([[4.0, 1.0], [0.0, 4.0]])))
 
 
 def _systems():
-    """The detail Grams j = 1..5 with their coarse spaces and the stiffness
-    matrices at levels 6 and 7, each with its sine right-hand side."""
+    """The detail Grams j = 2..5 with Jacobi and the stiffness matrices at
+    levels 5, 6 and 7 with the V-cycle, each with its sine right-hand side
+    and its preconditioner."""
     g = bench.builtin_problems()["sine"].g
-    for j in range(1, 6):
+    for j in range(2, 6):
+        a = prewavelet.wavelet_gram(j)
         b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
-        yield f"detail j{j}", prewavelet.wavelet_gram(j), b, _coarse(j)
-    for level in (6, 7):
+        yield f"detail j{j}", a, b, oracle.jacobi(a)
+    for level in (5, 6, 7):
         b = quadrature.load_vector(level, g)
-        yield f"stiffness {level}", assembly.stiffness_matrix(level), b, None
+        yield f"stiffness {level}", assembly.stiffness_matrix(level), b, partial(
+            solver._v_cycle, level
+        )
 
 
 @pytest.mark.parametrize("tol", (1e-10, 1e-15, 1e-16, 1e-300))
@@ -284,8 +272,8 @@ def test_cg_report_states_the_true_residual_against_tol(tol):
     # the recurrence residual keeps falling after the true one stops near
     # 1e-15..1e-12, so only the true residual may decide convergence: 1e-10
     # is reached on every one of these systems, 1e-15 on none
-    for name, a, b, coarse in _systems():
-        x, report = linalg.cg_solve(a, b, tol=tol, coarse=coarse)
+    for name, a, b, precondition in _systems():
+        x, report = linalg.cg_solve(a, b, precondition, tol=tol)
         true_rel = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
         assert report.converged == (report.relative_residual <= tol), name
         assert report.relative_residual == pytest.approx(true_rel, rel=1e-6), name
@@ -300,7 +288,8 @@ def test_cg_underflow_ends_the_solve_without_an_exception():
     for j in (4, 3):
         load = assembly.refinement_matrix(j) @ load
     b = prewavelet.wavelet_matrix(2) @ load
-    x, report = linalg.cg_solve(prewavelet.wavelet_gram(2), b, tol=1e-300, coarse=_coarse(2))
+    a = prewavelet.wavelet_gram(2)
+    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-300)
     assert not report.converged
     assert np.all(np.isfinite(x))
     assert report.relative_residual <= 1e-13
@@ -309,9 +298,9 @@ def test_cg_underflow_ends_the_solve_without_an_exception():
 def test_cg_near_miss_converges_a_step_or_two_later():
     # a tol just under a residual CG reaches is met one or two iterations on,
     # not given up on as out of reach
-    for name, a, b, coarse in _systems():
-        _, reached = linalg.cg_solve(a, b, tol=1e-10, coarse=coarse)
+    for name, a, b, precondition in _systems():
+        _, reached = linalg.cg_solve(a, b, precondition, tol=1e-10)
         tol = 0.99999 * reached.relative_residual
-        _, report = linalg.cg_solve(a, b, tol=tol, coarse=coarse)
+        _, report = linalg.cg_solve(a, b, precondition, tol=tol)
         assert report.converged, name
         assert reached.iterations < report.iterations <= reached.iterations + 2, name

@@ -40,14 +40,16 @@ def test_two_level_split_reproduces_fine_solution(problem):
 
 
 def test_multilevel_structure():
+    # on both ladders a detail is the nodal W_j component at level j + 1
     g = bench.builtin_problems()["poly"].g
-    ml = solver.multilevel_solve(4, g, base_level=2)
-    assert ml.base_level == 2
-    assert ml.top_level == 4
-    assert ml.coarse.shape == (mesh.n_interior(2),)
-    assert len(ml.details) == 2
-    for j, d in zip((2, 3), ml.details):
-        assert d.shape == (mesh.n_interior(j + 1) - mesh.n_interior(j),)
+    for name in ("direct", "cg"):
+        ml = solver.multilevel_solve(4, g, base_level=2, solver=name)
+        assert ml.base_level == 2
+        assert ml.top_level == 4
+        assert ml.coarse.shape == (mesh.n_interior(2),)
+        assert len(ml.details) == 2
+        for j, d in zip((2, 3), ml.details):
+            assert d.shape == (mesh.n_interior(j + 1),)
 
 
 def test_prolong_to_intermediate_level():
@@ -65,16 +67,19 @@ def test_prolong_to_intermediate_level():
 
 def test_truncating_details_is_exact():
     # dropping the finest detail level reproduces the shorter ladder exactly,
-    # because each level solves against the restricted load of the next
+    # on both ladders, because each level solves against the restricted load
+    # of the next
     f4 = quadrature.load_vector(4, bench.builtin_problems()["exp"].g)
-    long = solver.multilevel_from_load(4, f4)
     f3 = assembly.refinement_matrix(3) @ f4
-    short = solver.multilevel_from_load(3, f3)
-    assert np.array_equal(long.coarse, short.coarse)
-    for a, b in zip(long.details[:-1], short.details):
-        assert np.array_equal(a, b)
-    truncated = solver.MultilevelSolution(1, long.coarse, long.details[:-1])
-    assert np.array_equal(truncated.prolong(), short.prolong())
+    for name in ("direct", "cg"):
+        long = solver.multilevel_from_load(4, f4, solver=name)
+        short = solver.multilevel_from_load(3, f3, solver=name)
+        assert np.array_equal(long.coarse, short.coarse)
+        for a, b in zip(long.details[:-1], short.details):
+            assert np.array_equal(a, b)
+        truncated = solver.MultilevelSolution(1, long.coarse, long.details[:-1])
+        assert np.array_equal(truncated.prolong(), short.prolong())
+        assert np.array_equal(long.prolong(3), short.prolong())
 
 
 @pytest.mark.parametrize("j", (2, 3, 4, 5))
@@ -285,24 +290,99 @@ def test_cg_ladder_matches_direct_fem_at_level_six():
     assert np.max(np.abs(ladder - direct)) / np.max(np.abs(direct)) <= 10 * tol
 
 
-def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
+def _recording_cg(monkeypatch):
+    """Replace ``linalg.cg_solve`` by a wrapper that records, per call, the
+    matrix size and the report."""
     calls = []
     cg_solve = linalg.cg_solve
 
-    def recording(a, b, tol=1e-10, coarse=None):
-        calls.append((a.shape[0], coarse))
-        return cg_solve(a, b, tol, coarse)
+    def recording(a, b, precondition, tol=1e-10):
+        x, report = cg_solve(a, b, precondition, tol)
+        calls.append((a.shape[0], report))
+        return x, report
 
     monkeypatch.setattr(linalg, "cg_solve", recording)
+    return calls
+
+
+def test_cg_ladder_calls_cg_on_stiffness_matrices_only(monkeypatch):
+    calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
-    # the stiffness solve at level 1, then the detail Grams of j = 1, 2, 3
-    assert [n for n, _ in calls] == [1, 8, 40, 176]
-    assert calls[0][1] is None
-    for j, (_, coarse) in zip((1, 2, 3), calls[1:]):
-        assert coarse is solver._coarse(j)
+    # the stiffness solve at level 1, then one correction at each of levels 2, 3, 4
+    assert [n for n, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
     calls.clear()
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g)
     assert calls == []
+
+
+def test_cg_ladder_iterations_are_flat_in_the_level(monkeypatch):
+    # one V-cycle per iteration keeps the rungs at 10-12 iterations from
+    # level 3 up; Jacobi alone takes 288 on the rung to level 7
+    calls = _recording_cg(monkeypatch)
+    solver.multilevel_solve(8, bench.builtin_problems()["sine"].g, solver="cg")
+    iterations = [report.iterations for _, report in calls[2:]]
+    assert len(iterations) == 6  # the rungs to levels 3..8
+    assert max(iterations) - min(iterations) <= 2
+    assert all(report.converged for _, report in calls)
+
+
+def _sources():
+    problems = {name: p.g for name, p in bench.builtin_problems().items()}
+    values = np.random.default_rng(11).uniform(-1.0, 1.0, (2**8 + 1, 2**8 + 1))
+    return {**problems, "tabulated": quadrature.TabulatedFunction(values)}
+
+
+@pytest.mark.parametrize("source", ("sine", "poly", "exp", "tabulated"))
+def test_cg_ladder_matches_fem_at_every_level(source):
+    g = _sources()[source]
+    tol = 1e-10
+    for level in range(3, 9):
+        load = quadrature.load_vector(level, g)
+        ladder = solver.multilevel_from_load(level, load, solver="cg", tol=tol).prolong()
+        fem = solver.multilevel_from_load(level, load, base_level=level).coarse
+        assert bench.relative_difference(ladder, fem) <= 10 * tol, level
+
+
+@pytest.mark.parametrize("source", ("sine", "tabulated"))
+def test_direct_and_cg_details_are_the_same_components(source):
+    # both ladders hold the W_j component of u_{j+1}: direct details are
+    # H1-orthogonal to V_j to rounding, CG details to the tolerance (the
+    # level-j residual of u_j plus the restricted level j+1 residual, each
+    # within tol of its right-hand side, and the restriction has norm <= 4)
+    tol = 1e-10
+    top = 7
+    loads = {top: quadrature.load_vector(top, _sources()[source])}
+    for j in range(top - 1, 0, -1):
+        loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
+    direct = solver.multilevel_from_load(top, loads[top])
+    cg = solver.multilevel_from_load(top, loads[top], solver="cg", tol=tol)
+    for j, (wd, wc) in enumerate(zip(direct.details, cg.details), start=1):
+        scale = np.max(np.abs(direct.prolong(j + 1)))
+        assert np.max(np.abs(wd - wc)) <= 10 * tol * scale, j
+        cross = assembly.cross_level_gram(j)
+        f = np.linalg.norm(loads[j])
+        assert np.linalg.norm(cross @ wd) <= 1e-14 * f, j
+        assert np.linalg.norm(cross @ wc) <= 10 * tol * f, j
+
+
+def test_v_cycle_is_symmetric_positive_definite():
+    # CG needs an SPD preconditioner: the V-cycle's dense operator at level 4
+    n = mesh.n_interior(4)
+    m = np.column_stack([solver._v_cycle(4, e) for e in np.eye(n)])
+    assert np.max(np.abs(m - m.T)) <= 1e-13
+    assert np.linalg.eigvalsh(m).min() > 0.0
+
+
+def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
+    # the per-level SymmetricMatrix carries the check; a warm solve makes none
+    g = bench.builtin_problems()["sine"].g
+    solver.multilevel_solve(5, g, solver="cg")
+    checks = []
+    check = linalg._check_matrix
+    monkeypatch.setattr(linalg, "_check_matrix", lambda a: checks.append(a.shape) or check(a))
+    solver.multilevel_solve(5, g, solver="cg")
+    solver.fem_solve(5, g, solver="cg")
+    assert checks == []
 
 
 def test_export_solution_csv():
