@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import oracle
-from prewavelet_poisson import assembly, bench, linalg, prewavelet, quadrature, solver
+from prewavelet_poisson import assembly, bench, linalg, mesh, prewavelet, quadrature, solver
 
 
 def _gauss_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -226,6 +226,47 @@ def test_coarse_matrix_is_the_sparse_galerkin_product(j):
     galerkin = r @ assembly.stiffness_matrix(j + 1) @ solver._prolongation(j)
     assert (solver._prolongation(j) != r.T).nnz == 0
     assert (galerkin != assembly.stiffness_matrix(j)).nnz == 0
+
+
+def _rung(j: int, fine_load: np.ndarray):
+    """The CG ladder's rung from level ``j`` to ``j + 1``: the level-``j``
+    solution of the restricted load, then the stiffness system of level
+    ``j + 1`` whose solution is its ``W_j`` detail, with that level's
+    V-cycle."""
+    u = linalg.CholeskyFactor(assembly.stiffness_matrix(j)).solve(
+        assembly.refinement_matrix(j) @ fine_load
+    )
+    pu = solver._prolongation(j) @ u
+    a = assembly.stiffness_matrix(j + 1)
+    return a, fine_load - a @ pu, partial(solver._v_cycle, j + 1)
+
+
+def test_two_level_cg_matches_cholesky_on_detail_gram():
+    # the detail CG finds in nodal coordinates what Cholesky on the detail
+    # Gram finds in the prewavelet basis: w = Q^T E^-1 Q f
+    j = 5
+    f = np.cos(np.arange(mesh.n_interior(j + 1), dtype=float))
+    a, r, precondition = _rung(j, f)
+    w, report = linalg.cg_solve(a, r, precondition, tol=1e-12)
+    assert report.converged
+    q = prewavelet.wavelet_matrix(j)
+    want = q.T @ linalg.CholeskyFactor(prewavelet.wavelet_gram(j)).solve(q @ f)
+    np.testing.assert_allclose(w, want, rtol=1e-8, atol=1e-8 * np.max(np.abs(want)))
+    true_rel = np.linalg.norm(a @ w - r) / np.linalg.norm(r)
+    assert report.relative_residual == pytest.approx(true_rel, rel=1e-6, abs=1e-15)
+
+
+@pytest.mark.parametrize(("j", "bound"), ((4, 60), (5, 80), (6, 115)))
+def test_two_level_cg_detail_iterations(j, bound):
+    # the bounds of the detail-Gram CG with its aggregate coarse space (about
+    # 50, 71, 104; Jacobi alone 188, 363, 735); the nodal detail solve with
+    # one V-cycle per iteration takes 12 at each of these levels
+    g = bench.builtin_problems()["sine"].g
+    a, r, precondition = _rung(j, quadrature.load_vector(j + 1, g))
+    _, report = linalg.cg_solve(a, r, precondition, tol=1e-10)
+    assert report.converged
+    assert report.iterations <= bound
+    assert report.iterations <= 15
 
 
 def test_cg_checks_a_symmetric_matrix_once(monkeypatch):

@@ -375,13 +375,16 @@ def test_wavelet_matrix_rows_are_the_basis_stencils(j):
 
 
 @pytest.mark.parametrize("j", (2, 3, 4, 5, 6))
-def test_mirrored_strip_rows_are_the_signed_images_in_order(j):
+def test_mirrored_strip_rows_join_the_aggregate_of_their_image(j):
     # the 180-degree image of a family-3 row is +family 4 at the image
-    # position, of family 4 +family 3, of family 5 -family 5; the strip
-    # rows hold them in the order of the rows they mirror
+    # position, of family 4 +family 3, of family 5 -family 5; each strip
+    # row is that signed image, in the order of the rows they mirror, and
+    # the translate of the closed-form row of the image family at the image
+    # position clipped to the last one
     image_of = {3: (4, 1.0), 4: (3, 1.0), 5: (5, -1.0)}
     n_closed = _n_closed_form(j)
     strips = prewavelet.strip_wavelets(j)
+    last = 2**j - 2
     # the strip rows open with the images of the rows touching fine index 1 or 2
     touching = [(f, i, k) for f, i, k in _closed_form_positions(j) if min(i, k) <= 1]
     checked = 0
@@ -396,5 +399,8 @@ def test_mirrored_strip_rows_are_the_signed_images_in_order(j):
         }
         assert strips[r].stencil == want
         assert _stencil(j, n_closed + r) == want
+        si, sk = 2 * (pi - min(pi, last)), 2 * (pk - min(pk, last))
+        ref = _stencil(j, _row(j, image_family, min(pi, last), min(pk, last)))
+        assert want == {(fi + si, fk + sk): image_sign * v for (fi, fk), v in ref.items()}
         checked += 1
     assert checked == 3 * (2 * (2**j - 2) - 1)

@@ -292,24 +292,31 @@ def test_cg_ladder_matches_direct_fem_at_level_six():
 
 def _recording_cg(monkeypatch):
     """Replace ``linalg.cg_solve`` by a wrapper that records, per call, the
-    matrix size and the report."""
+    matrix size, the preconditioner and the report."""
     calls = []
     cg_solve = linalg.cg_solve
 
     def recording(a, b, precondition, tol=1e-10):
         x, report = cg_solve(a, b, precondition, tol)
-        calls.append((a.shape[0], report))
+        calls.append((a.shape[0], precondition, report))
         return x, report
 
     monkeypatch.setattr(linalg, "cg_solve", recording)
     return calls
 
 
-def test_cg_ladder_calls_cg_on_stiffness_matrices_only(monkeypatch):
+def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
+    # CG runs on stiffness matrices only: the solve at level 1, then one
+    # detail correction at each of levels 2, 3, 4.  Each is preconditioned by
+    # the V-cycle of its own level, so only the detail corrections get the
+    # coarse levels; the V-cycle of level 1 is its factor alone
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
-    # the stiffness solve at level 1, then one correction at each of levels 2, 3, 4
-    assert [n for n, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
+    assert [n for n, _, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
+    for level, (_, precondition, _) in zip((1, 2, 3, 4), calls):
+        assert precondition.func is solver._v_cycle
+        assert precondition.args == (level,)
+    assert calls[0][2].iterations == 1
     calls.clear()
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g)
     assert calls == []
@@ -320,10 +327,10 @@ def test_cg_ladder_iterations_are_flat_in_the_level(monkeypatch):
     # level 3 up; Jacobi alone takes 288 on the rung to level 7
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(8, bench.builtin_problems()["sine"].g, solver="cg")
-    iterations = [report.iterations for _, report in calls[2:]]
+    iterations = [report.iterations for _, _, report in calls[2:]]
     assert len(iterations) == 6  # the rungs to levels 3..8
     assert max(iterations) - min(iterations) <= 2
-    assert all(report.converged for _, report in calls)
+    assert all(report.converged for _, _, report in calls)
 
 
 def _sources():
