@@ -9,8 +9,9 @@ identities between these matrices hold exactly, not just to rounding.
 Stencils (offsets are relative to the coarse vertex, fine offsets relative
 to its fine-grid image ``(2i, 2k)``):
 
-* refinement: a coarse hat is the fine hat at (2i, 2k) plus half the six
-  fine hats at offsets (+-1, 0), (0, +-1), (-1, -1), (+1, +1).
+* refinement (:data:`mesh._REFINE_STENCIL`): a coarse hat is the fine hat
+  at (2i, 2k) plus half the six fine hats at offsets (+-1, 0), (0, +-1),
+  (-1, -1), (+1, +1).
 * stiffness: 4 on the diagonal, -1 toward the four axis neighbors; the
   diagonal-direction neighbors (+-1, +-1 along the cell diagonal) integrate
   to exactly zero and are not stored.
@@ -25,15 +26,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-_REFINE_STENCIL = {
-    (0, 0): 1.0,
-    (-1, 0): 0.5,
-    (1, 0): 0.5,
-    (0, -1): 0.5,
-    (0, 1): 0.5,
-    (-1, -1): 0.5,
-    (1, 1): 0.5,
-}
+from . import mesh
 
 _STIFFNESS_STENCIL = {
     (0, 0): 4.0,
@@ -78,7 +71,7 @@ def refinement_matrix(j: int) -> sp.csr_matrix:
     """Rows are level-``j`` hats expanded in the level ``j+1`` basis."""
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
-    return _stencil_matrix(j, j + 1, _REFINE_STENCIL)
+    return _stencil_matrix(j, j + 1, {(di, dk): v for di, dk, v in mesh._REFINE_STENCIL})
 
 
 @lru_cache(maxsize=None)
@@ -93,7 +86,6 @@ def stiffness_matrix(j: int) -> sp.csr_matrix:
     return _stencil_matrix(j, j, _STIFFNESS_STENCIL)
 
 
-@lru_cache(maxsize=None)
 def cross_level_gram(j: int) -> sp.csr_matrix:
     """Inner products of level-``j`` hats against level ``j+1`` hats.
 

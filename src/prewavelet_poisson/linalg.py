@@ -15,8 +15,8 @@ it reports that residual.  Its inner products and norms bypass BLAS.  Both
 reject a matrix that is not square and symmetric, or has non-finite
 entries, with ValueError, so neither hands back the solution of a system
 that cannot be SPD.  ``CholeskyFactor`` checks once per factor;
-``cg_solve`` checks on every call, unless it is given a
-``SymmetricMatrix``, which was checked once when it was built.
+``cg_solve`` takes only a ``SymmetricMatrix``, which was checked once when
+it was built, and refuses any other matrix with TypeError.
 """
 
 from __future__ import annotations
@@ -125,10 +125,10 @@ def cg_solve(
 ) -> tuple[np.ndarray, SolverReport]:
     """Preconditioned conjugate gradients from a zero start.
 
-    ``a`` is a matrix, checked here, or a :class:`SymmetricMatrix`, checked
-    when it was built.  ``precondition`` maps a residual ``r`` to ``z = M r``
-    for an SPD ``M`` approximating the inverse of ``a``; it is called once
-    per iteration.  A right-hand side whose norm is not finite raises
+    ``a`` is a :class:`SymmetricMatrix`, checked when it was built; any
+    other matrix raises TypeError.  ``precondition`` maps a residual ``r``
+    to ``z = M r`` for an SPD ``M`` approximating the inverse of ``a``; it
+    is called once per iteration.  A right-hand side whose norm is not finite raises
     ValueError before any iteration.
 
     One stopping rule.  CG iterates on its recurrence residual ``r``, which
@@ -147,7 +147,9 @@ def cg_solve(
     is returned either way.  Inner products and norms go through
     :func:`_dot`, not BLAS.
     """
-    a = (a if isinstance(a, SymmetricMatrix) else SymmetricMatrix(a)).csr
+    if not isinstance(a, SymmetricMatrix):
+        raise TypeError(f"cg_solve takes a SymmetricMatrix, got {type(a).__name__}")
+    a = a.csr
     b = np.asarray(b, dtype=float)
     n = a.shape[0]
     if b.shape != (n,):

@@ -41,6 +41,13 @@ _CELL_OFFSETS = np.array(
     [[(0, 0), (1, 0), (1, 1)], [(0, 0), (1, 1), (0, 1)]], dtype=np.int64
 )
 
+#: A level-``j`` hat as level ``j + 1`` hats: ``(di, dk, weight)`` offsets from
+#: the fine image ``(2i, 2k)`` of its vertex, which are the vertex and its six
+#: edge neighbours, in the column order of a row of ``assembly.refinement_matrix``.
+_REFINE_STENCIL = (
+    (-1, -1, 0.5), (0, -1, 0.5), (-1, 0, 0.5), (0, 0, 1.0), (1, 0, 0.5), (0, 1, 0.5), (1, 1, 0.5)
+)
+
 
 @lru_cache(maxsize=None)
 def triangle_vertex_array(j: int) -> np.ndarray:

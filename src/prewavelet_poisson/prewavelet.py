@@ -162,7 +162,6 @@ def wavelet_matrix(j: int) -> sp.csr_matrix:
     return mat
 
 
-@lru_cache(maxsize=None)
 def wavelet_gram(j: int) -> sp.csr_matrix:
     """H1 Gram matrix of the detail basis (the detail system matrix)."""
     c = wavelet_matrix(j)

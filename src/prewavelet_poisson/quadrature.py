@@ -13,8 +13,8 @@ the classic 7-point degree-5 rule used for error measurement.
   midpoint refinement where the grid is coarser) are nodal values of a P1
   function, and the P1 mass stencil applied with shifted slices gives the
   level-``m`` load exactly.  A level-``k`` hat is a combination of level
-  ``k+1`` hats, so the refinement matrices restrict that load down to ``j``
-  exactly.
+  ``k+1`` hats, so the refinement stencil, applied with stride-2 shifted
+  slices, restricts that load down to ``j`` exactly and builds no matrix.
 - Any other source is sampled by quadrature.  A hat function restricted to
   one triangle of its support equals the barycentric coordinate of the
   supporting vertex, which is why this path needs nothing beyond the rule's
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, mesh
+from . import mesh
 
 
 @dataclass(frozen=True)
@@ -140,8 +140,10 @@ def _mass_load(j: int, tab: TabulatedFunction) -> np.ndarray:
     ``1/(12 4^m)`` times 6 on the vertex and 1 on each of its six edge
     neighbours ``(+-1, 0)``, ``(0, +-1)`` and ``+-(1, 1)``.  Samples are scaled
     before they are summed, and the neighbours are added in opposite pairs, so
-    a constant source gives exactly ``4^-m``.  The refinement matrices then
-    restrict that load from ``m`` down to ``j``.
+    a constant source gives exactly ``4^-m``.  Then each step from ``m`` down
+    to ``j`` restricts the load with one stride-2 slice of its zero-bordered
+    node array per :data:`mesh._REFINE_STENCIL` entry, building no matrix.
+    Added from zero in that order, the sums are the refinement matrix's bits.
     """
     v = tab.values
     for _ in range(tab.level, j):
@@ -158,10 +160,13 @@ def _mass_load(j: int, tab: TabulatedFunction) -> np.ndarray:
     out += pair
     out += np.add(shifted(1, 1), shifted(-1, -1), out=pair)
     out += np.multiply(v[1:-1, 1:-1], 0.5 / 4**m, out=pair)  # 6 / 12 on the vertex
-    out = out.ravel()
-    for k in range(m - 1, j - 1, -1):
-        out = assembly.refinement_matrix(k) @ out
-    return out
+    for _ in range(j, m):
+        nodes = np.pad(out, 1)
+        side = nodes.shape[0] - 1
+        out = np.zeros((side // 2 - 1, side // 2 - 1))
+        for di, dk, c in mesh._REFINE_STENCIL:
+            out += c * nodes[2 + dk : side - 1 + dk : 2, 2 + di : side - 1 + di : 2]
+    return out.ravel()
 
 
 def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:

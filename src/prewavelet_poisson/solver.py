@@ -7,14 +7,15 @@ load), the prolonged ladder coefficients reproduce the direct fine-level
 solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
 the ladder with no detail levels (``base_level == top_level``).  The
-direct ladder is the paper's method in the prewavelet basis: each detail
-Gram is factored once per level and cached, as is each stiffness matrix.
-The CG ladder never forms a detail Gram: each rung keeps the level-``j``
-solution ``u_j`` and finds the same ``W_j`` component in nodal coordinates,
-as the correction ``w`` to ``R_j^T u_j`` that solves the level ``j + 1``
-stiffness system, by CG preconditioned with one multigrid V-cycle over the
-cached stiffness and refinement matrices (``A_{j+1}`` is well conditioned
-on ``W_j``, the prewavelet basis is what is not).  Its iteration count per
+direct ladder is the paper's method in the prewavelet basis: it factors
+each detail Gram and each stiffness matrix once per level and caches the
+factors, not the Grams.  The CG ladder forms no detail Gram and no factor:
+each rung keeps the level-``j`` solution ``u_j`` and finds the same
+``W_j`` component in nodal coordinates, as the correction ``w`` to
+``R_j^T u_j`` that solves the level ``j + 1`` stiffness system, by CG
+preconditioned with one multigrid V-cycle over the cached stiffness and
+refinement matrices (``A_{j+1}`` is well conditioned on ``W_j``, the
+prewavelet basis is what is not).  Its iteration count per
 rung does not grow with the level.  A non-finite load is rejected before
 any solve.  Error norms are measured with the degree-5 rule whatever the
 assembly rule, on the same cell grid as the load vector: the nodal values
@@ -35,10 +36,8 @@ import scipy.sparse as sp
 from . import assembly, linalg, mesh, prewavelet, quadrature
 
 
-#: Damped-Jacobi weight of the V-cycle's smoother, and its sweeps before and
-#: after each coarse correction.
+#: Damped-Jacobi weight of the V-cycle's smoother.
 SMOOTHING_WEIGHT = 0.8
-SMOOTHING_SWEEPS = 1
 
 
 @lru_cache(maxsize=None)
@@ -59,37 +58,29 @@ def _prolongation(j: int) -> sp.csr_matrix:
     return assembly.refinement_matrix(j).T.tocsr()
 
 
-@lru_cache(maxsize=None)
-def _smoother(j: int) -> np.ndarray:
-    """Damped-Jacobi weights of level ``j``: ``SMOOTHING_WEIGHT / diag(A_j)``."""
-    return SMOOTHING_WEIGHT / assembly.stiffness_matrix(j).diagonal()
-
-
 def _v_cycle(j: int, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle for the level-``j`` stiffness matrix ``A_j``
     applied to ``r``, from a zero start.
 
-    ``SMOOTHING_SWEEPS`` damped-Jacobi sweeps, then the restricted residual
-    is corrected by the V-cycle of level ``j - 1`` and prolonged back, then
-    as many sweeps again; level 1 is solved by its factor.  The coarse
+    One damped-Jacobi sweep (``diag(A_j) == 4``, so its weight is the
+    scalar ``SMOOTHING_WEIGHT / 4``), then the restricted residual is
+    corrected by the V-cycle of level ``j - 1`` and prolonged back, then one
+    sweep again; level 1, ``A_1 = [[4]]``, is ``r / 4``.  The coarse
     matrices are the stiffness matrices themselves, since ``R A_j R^T ==
-    A_{j-1}`` holds exactly for ``R = refinement_matrix(j - 1)``.  The
-    same Jacobi sweeps on both sides make the map ``r -> z`` symmetric, and
+    A_{j-1}`` holds exactly for ``R = refinement_matrix(j - 1)``.  The same
+    sweep on both sides makes the map ``r -> z`` symmetric, and
     ``SMOOTHING_WEIGHT * lambda_max(D^-1 A) < 2`` (the five-point stencil
     keeps ``lambda_max(D^-1 A)`` below 2) makes it positive definite: a CG
     preconditioner whose iteration count does not grow with ``j``.
     """
     if j == 1:
-        return _factor(assembly.stiffness_matrix, 1).solve(r)
+        return r / 4.0
     a = _stiffness(j).csr
-    weights = _smoother(j)
-    z = weights * r
-    for _ in range(SMOOTHING_SWEEPS - 1):
-        z += weights * (r - a @ z)
+    weight = SMOOTHING_WEIGHT / 4.0
+    z = weight * r
     coarse = _v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ (r - a @ z))
     z += _prolongation(j - 1) @ coarse
-    for _ in range(SMOOTHING_SWEEPS):
-        z += weights * (r - a @ z)
+    z += weight * (r - a @ z)
     return z
 
 
@@ -109,21 +100,16 @@ def _solve(j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
     raise ValueError(f"solver must be 'direct' or 'cg', got {solver!r}")
 
 
-def fem_solve(
-    j: int,
-    g,
-    rule: quadrature.TriangleRule = quadrature.MID3,
-    solver: str = "direct",
-    tol: float = 1e-10,
-) -> np.ndarray:
+def fem_solve(j: int, g, solver: str = "direct", tol: float = 1e-10) -> np.ndarray:
     """Galerkin coefficients of the level-``j`` approximation to -lap(u) = g.
 
     Returns the nodal values at the interior vertices (the hat basis is
     nodal).  ``solver`` picks Cholesky (cached per level) or conjugate
-    gradients with relative tolerance ``tol``.  This is the ladder with no
-    detail levels.
+    gradients with relative tolerance ``tol``, which factors nothing.  This
+    is the ladder with no detail levels, loaded with the ``mid3`` rule:
+    ``multilevel_solve(j, g, rule, base_level=j)`` takes another rule.
     """
-    return multilevel_solve(j, g, rule, base_level=j, solver=solver, tol=tol).coarse
+    return multilevel_solve(j, g, base_level=j, solver=solver, tol=tol).coarse
 
 
 @dataclass(frozen=True)

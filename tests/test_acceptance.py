@@ -143,11 +143,12 @@ def test_criterion_08_cg_direct_agreement():
     b = quadrature.load_vector(j, bench.builtin_problems()["sine"].g)
     direct = linalg.CholeskyFactor(a).solve(b)
     jacobi = oracle.jacobi(a)
-    tight, _ = linalg.cg_solve(a, b, jacobi, tol=1e-13)
+    checked = linalg.SymmetricMatrix(a)
+    tight, _ = linalg.cg_solve(checked, b, jacobi, tol=1e-13)
     rel = np.max(np.abs(tight - direct)) / np.max(np.abs(direct))
     iters = []
     for tol in (1e-8, 1e-9, 1e-10, 1e-11, 1e-12, 1e-13):
-        _, report = linalg.cg_solve(a, b, jacobi, tol=tol)
+        _, report = linalg.cg_solve(checked, b, jacobi, tol=tol)
         iters.append(report.iterations)
     monotone = all(x <= y for x, y in zip(iters, iters[1:]))
     _report(8, "CG at 1e-13 matches Cholesky within 1e-10; iterations nondecreasing",

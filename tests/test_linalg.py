@@ -108,13 +108,13 @@ def test_shape_and_symmetry_validation():
 def test_cg_rejects_asymmetric_matrix():
     for asym in ([[4.0, 1.0], [0.0, 4.0]], [[4.0, 3.0], [-3.0, 4.0]]):
         with pytest.raises(ValueError, match="not symmetric"):
-            linalg.cg_solve(sp.csr_matrix(np.array(asym)), np.ones(2), lambda r: r)
+            linalg.cg_solve(linalg.SymmetricMatrix(np.array(asym)), np.ones(2), lambda r: r)
 
 
 def test_cg_matches_oracle():
     a = assembly.stiffness_matrix(3)
     b = quadrature.load_vector(3, lambda x, y: np.cos(x + y))
-    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-12)
+    x, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=1e-12)
     assert report.converged
     np.testing.assert_allclose(x, _gauss_solve(a.toarray(), b), rtol=1e-8)
     # reported residual is the true one
@@ -127,7 +127,7 @@ def test_cg_iterations_monotone_in_tolerance():
     b = quadrature.load_vector(4, lambda x, y: np.ones_like(x))
     prev = 0
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
-        _, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=tol)
+        _, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=tol)
         assert report.converged
         assert report.iterations >= prev
         prev = report.iterations
@@ -135,7 +135,7 @@ def test_cg_iterations_monotone_in_tolerance():
 
 def test_cg_zero_rhs_short_circuits():
     a = assembly.stiffness_matrix(2)
-    x, report = linalg.cg_solve(a, np.zeros(a.shape[0]), oracle.jacobi(a))
+    x, report = linalg.cg_solve(linalg.SymmetricMatrix(a), np.zeros(a.shape[0]), oracle.jacobi(a))
     assert np.array_equal(x, np.zeros(a.shape[0]))
     assert report.iterations == 0
     assert report.converged
@@ -145,7 +145,7 @@ def test_cg_non_convergence_reports_partial():
     # rounding keeps the true residual near 1e-14 here, so 1e-16 is out of reach
     a = assembly.stiffness_matrix(4)
     b = quadrature.load_vector(4, lambda x, y: np.ones_like(x))
-    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-16)
+    x, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=1e-16)
     assert not report.converged
     assert report.relative_residual > 1e-16
     assert 0 < report.iterations < 10 * a.shape[0]
@@ -159,7 +159,7 @@ def test_cg_rejects_non_finite_rhs(bad):
     b = np.ones(a.shape[0])
     b[5] = bad
     with pytest.raises(ValueError, match="not finite"):
-        linalg.cg_solve(a, b, oracle.jacobi(a))
+        linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a))
 
 
 @pytest.mark.parametrize("bad", (np.nan, np.inf))
@@ -175,15 +175,16 @@ def test_cg_rejects_non_finite_matrix(bad):
     a = assembly.stiffness_matrix(3).copy()
     a[5, 5] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a))
+        linalg.cg_solve(linalg.SymmetricMatrix(a), np.ones(a.shape[0]), oracle.jacobi(a))
 
 
 def test_cg_tolerance_validation():
     a = assembly.stiffness_matrix(2)
+    checked = linalg.SymmetricMatrix(a)
     with pytest.raises(ValueError):
-        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a), tol=0.0)
+        linalg.cg_solve(checked, np.ones(a.shape[0]), oracle.jacobi(a), tol=0.0)
     with pytest.raises(ValueError):
-        linalg.cg_solve(a, np.ones(a.shape[0]), oracle.jacobi(a), tol=2.0)
+        linalg.cg_solve(checked, np.ones(a.shape[0]), oracle.jacobi(a), tol=2.0)
 
 
 def test_cg_preconditioned_matches_cholesky_on_detail_gram():
@@ -192,7 +193,7 @@ def test_cg_preconditioned_matches_cholesky_on_detail_gram():
     d = a.diagonal()
     assert d.max() > 10.0 * d.min()
     b = np.cos(np.arange(a.shape[0], dtype=float))
-    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-12)
+    x, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=1e-12)
     assert report.converged
     direct = linalg.CholeskyFactor(a).solve(b)
     np.testing.assert_allclose(x, direct, rtol=1e-8)
@@ -202,7 +203,7 @@ def _detail_cg_iterations(j: int) -> int:
     g = bench.builtin_problems()["sine"].g
     a = prewavelet.wavelet_gram(j)
     b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
-    _, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-10)
+    _, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=1e-10)
     assert report.converged
     return report.iterations
 
@@ -247,7 +248,7 @@ def test_two_level_cg_matches_cholesky_on_detail_gram():
     j = 5
     f = np.cos(np.arange(mesh.n_interior(j + 1), dtype=float))
     a, r, precondition = _rung(j, f)
-    w, report = linalg.cg_solve(a, r, precondition, tol=1e-12)
+    w, report = linalg.cg_solve(linalg.SymmetricMatrix(a), r, precondition, tol=1e-12)
     assert report.converged
     q = prewavelet.wavelet_matrix(j)
     want = q.T @ linalg.CholeskyFactor(prewavelet.wavelet_gram(j)).solve(q @ f)
@@ -263,7 +264,7 @@ def test_two_level_cg_detail_iterations(j, bound):
     # one V-cycle per iteration takes 12 at each of these levels
     g = bench.builtin_problems()["sine"].g
     a, r, precondition = _rung(j, quadrature.load_vector(j + 1, g))
-    _, report = linalg.cg_solve(a, r, precondition, tol=1e-10)
+    _, report = linalg.cg_solve(linalg.SymmetricMatrix(a), r, precondition, tol=1e-10)
     assert report.converged
     assert report.iterations <= bound
     assert report.iterations <= 15
@@ -271,7 +272,7 @@ def test_two_level_cg_detail_iterations(j, bound):
 
 def test_cg_checks_a_symmetric_matrix_once(monkeypatch):
     # a SymmetricMatrix is checked when built, not on each solve; a plain
-    # matrix is checked on every call
+    # matrix, sparse or dense, is refused, never solved unchecked
     a = assembly.stiffness_matrix(3)
     checked = linalg.SymmetricMatrix(a)
     calls = []
@@ -283,27 +284,29 @@ def test_cg_checks_a_symmetric_matrix_once(monkeypatch):
 
     monkeypatch.setattr(linalg, "_check_matrix", counting)
     b = np.ones(a.shape[0])
-    x, _ = linalg.cg_solve(checked, b, oracle.jacobi(a))
+    x, report = linalg.cg_solve(checked, b, oracle.jacobi(a))
+    assert report.converged
     assert calls == []
-    y, _ = linalg.cg_solve(a, b, oracle.jacobi(a))
-    assert calls == [a.shape]
-    assert np.array_equal(x, y)
+    for plain in (a, a.toarray()):
+        with pytest.raises(TypeError, match="SymmetricMatrix"):
+            linalg.cg_solve(plain, b, oracle.jacobi(a))
+    assert calls == []
     with pytest.raises(ValueError, match="not symmetric"):
         linalg.SymmetricMatrix(sp.csr_matrix(np.array([[4.0, 1.0], [0.0, 4.0]])))
 
 
 def _systems():
     """The detail Grams j = 2..5 with Jacobi and the stiffness matrices at
-    levels 5, 6 and 7 with the V-cycle, each with its sine right-hand side
-    and its preconditioner."""
+    levels 5, 6 and 7 with the V-cycle, each a SymmetricMatrix with its sine
+    right-hand side and its preconditioner."""
     g = bench.builtin_problems()["sine"].g
     for j in range(2, 6):
         a = prewavelet.wavelet_gram(j)
         b = prewavelet.wavelet_matrix(j) @ quadrature.load_vector(j + 1, g)
-        yield f"detail j{j}", a, b, oracle.jacobi(a)
+        yield f"detail j{j}", linalg.SymmetricMatrix(a), b, oracle.jacobi(a)
     for level in (5, 6, 7):
         b = quadrature.load_vector(level, g)
-        yield f"stiffness {level}", assembly.stiffness_matrix(level), b, partial(
+        yield f"stiffness {level}", solver._stiffness(level), b, partial(
             solver._v_cycle, level
         )
 
@@ -315,7 +318,7 @@ def test_cg_report_states_the_true_residual_against_tol(tol):
     # is reached on every one of these systems, 1e-15 on none
     for name, a, b, precondition in _systems():
         x, report = linalg.cg_solve(a, b, precondition, tol=tol)
-        true_rel = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+        true_rel = np.linalg.norm(b - a.csr @ x) / np.linalg.norm(b)
         assert report.converged == (report.relative_residual <= tol), name
         assert report.relative_residual == pytest.approx(true_rel, rel=1e-6), name
         assert report.converged == (tol == 1e-10), name
@@ -330,7 +333,7 @@ def test_cg_underflow_ends_the_solve_without_an_exception():
         load = assembly.refinement_matrix(j) @ load
     b = prewavelet.wavelet_matrix(2) @ load
     a = prewavelet.wavelet_gram(2)
-    x, report = linalg.cg_solve(a, b, oracle.jacobi(a), tol=1e-300)
+    x, report = linalg.cg_solve(linalg.SymmetricMatrix(a), b, oracle.jacobi(a), tol=1e-300)
     assert not report.converged
     assert np.all(np.isfinite(x))
     assert report.relative_residual <= 1e-13

@@ -274,3 +274,17 @@ def test_exact_loads_agree_across_levels(j):
         fine = quadrature.load_vector(j + 1, tab)
         coarse = quadrature.load_vector(j, tab)
         assert _max_rel(assembly.refinement_matrix(j) @ fine, coarse) <= 1e-14
+
+
+def test_finer_grid_load_builds_no_refinement_matrices():
+    # a 513 x 513 grid at level 5 is restricted four times by stride-2 slices,
+    # which add in the column order of the refinement matrix's rows: the same
+    # bits as the matrix chain, and no matrix left in its cache
+    oracle.clear_caches()
+    tab = _tab(9, seed=5)
+    got = quadrature.load_vector(5, tab)
+    assert assembly.refinement_matrix.cache_info().currsize == 0
+    chain = quadrature.load_vector(9, tab)
+    for k in range(8, 4, -1):
+        chain = assembly.refinement_matrix(k) @ chain
+    assert np.array_equal(got, chain)

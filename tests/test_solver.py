@@ -309,7 +309,7 @@ def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
     # CG runs on stiffness matrices only: the solve at level 1, then one
     # detail correction at each of levels 2, 3, 4.  Each is preconditioned by
     # the V-cycle of its own level, so only the detail corrections get the
-    # coarse levels; the V-cycle of level 1 is its factor alone
+    # coarse levels; the V-cycle of level 1 is r / 4 alone
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
     assert [n for n, _, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
@@ -390,6 +390,26 @@ def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
     solver.multilevel_solve(5, g, solver="cg")
     solver.fem_solve(5, g, solver="cg")
     assert checks == []
+
+
+def test_cg_ladder_and_cg_fem_build_no_factor(monkeypatch):
+    # the V-cycle ends in r / 4 at level 1, so from cold caches neither CG
+    # path constructs a CholeskyFactor; the direct solve does
+    oracle.clear_caches()
+    built = []
+    init = linalg.CholeskyFactor.__init__
+
+    def recording(self, a):
+        built.append(a.shape)
+        init(self, a)
+
+    monkeypatch.setattr(linalg.CholeskyFactor, "__init__", recording)
+    g = bench.builtin_problems()["sine"].g
+    solver.multilevel_solve(5, g, solver="cg")
+    solver.fem_solve(5, g, solver="cg")
+    assert built == []
+    solver.fem_solve(5, g)
+    assert built == [(mesh.n_interior(5),) * 2]
 
 
 def test_export_solution_csv():
