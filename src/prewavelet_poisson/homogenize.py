@@ -66,7 +66,7 @@ def corner_values(problem: DirichletProblem) -> tuple[float, float, float, float
 
     The two traces meeting at each corner must agree there to within
     1e-9; mismatches raise ValueError since no continuous solution can
-    match incompatible data.
+    match incompatible data, and so does a trace that is not finite there.
     """
     pairs = (
         ("(0,0)", float(problem.bottom(0.0)), float(problem.left(0.0))),
@@ -76,6 +76,8 @@ def corner_values(problem: DirichletProblem) -> tuple[float, float, float, float
     )
     values = []
     for name, first, second in pairs:
+        if not (np.isfinite(first) and np.isfinite(second)):
+            raise ValueError(f"non-finite corner data at {name}: {first!r} and {second!r}")
         if abs(first - second) > 1e-9:
             raise ValueError(
                 f"incompatible corner data at {name}: traces give {first!r} and {second!r}"

@@ -60,6 +60,31 @@ def test_corner_values_compatible_and_not():
         corner_values(bad)
 
 
+@pytest.mark.parametrize(
+    "left, bottom",
+    [
+        (lambda t: np.where(t == 0.0, np.nan, t), lambda t: t),  # one trace NaN at (0,0)
+        (lambda t: t * np.nan, lambda t: t * np.nan),  # both NaN: no difference to compare
+        (lambda t: t + np.inf, lambda t: t + np.inf),  # both infinite: inf - inf is NaN
+    ],
+    ids=["one-nan", "both-nan", "both-inf"],
+)
+def test_corner_values_reject_non_finite_traces(left, bottom):
+    p = DirichletProblem(
+        g=_zero,
+        bottom=bottom,
+        top=lambda t: 1.0 + t,
+        left=left,
+        right=lambda t: 1.0 + t,
+        bottom_dd=_zero,
+        top_dd=_zero,
+        left_dd=_zero,
+        right_dd=_zero,
+    )
+    with pytest.raises(ValueError, match="non-finite corner data at"):
+        corner_values(p)
+
+
 def test_modified_rhs_sign_frozen():
     # u = sin(pi x) sinh(pi (1-y)) / sinh(pi) is harmonic (g = 0) with
     # bottom trace sin(pi x); the lifted problem must carry
