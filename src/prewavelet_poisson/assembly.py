@@ -42,27 +42,31 @@ def _stencil_matrix(j_row: int, j_col: int, stencil: dict[tuple[int, int], float
 
     Column indices live on level ``j_col``; offsets are applied to the
     row vertex mapped onto the column grid, and entries falling outside
-    the column interior are dropped.
+    the column interior are dropped.  Built as CSR directly: with the
+    offsets sorted by ``(dk, di)`` the columns of every row ascend, so each
+    row takes its in-range offsets in that order.
     """
     n_r = 2**j_row - 1
     n_c = 2**j_col - 1
-    mult = 2 ** (j_col - j_row)
-    ordinal = np.arange(n_r * n_r)
-    kc = ordinal // n_r + 1
-    ic = ordinal % n_r + 1
-    rows, cols, vals = [], [], []
-    for (di, dk), v in stencil.items():
-        fi = mult * ic + di
-        fk = mult * kc + dk
-        keep = (fi >= 1) & (fi <= n_c) & (fk >= 1) & (fk <= n_c)
-        rows.append(ordinal[keep])
-        cols.append((fk[keep] - 1) * n_c + (fi[keep] - 1))
-        vals.append(np.full(int(keep.sum()), v))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_r * n_r, n_c * n_c),
-    ).tocsr()
-    mat.sort_indices()
+    idx = np.int32 if n_c * n_c <= np.iinfo(np.int32).max else np.int64
+    line = 2 ** (j_col - j_row) * np.arange(1, n_r + 1)  # row vertices on the column grid
+    offsets = sorted(stencil, key=lambda o: (o[1], o[0]))
+    # axis 0 is k, axis 1 is i, axis 2 the offset: rows in ordinal order
+    cols = np.empty((n_r, n_r, len(offsets)), dtype=idx)
+    keep = np.empty(cols.shape, dtype=bool)
+    for m, (di, dk) in enumerate(offsets):
+        fi = line + di
+        fk = line + dk
+        keep[:, :, m] = ((fk >= 1) & (fk <= n_c))[:, None] & ((fi >= 1) & (fi <= n_c))
+        cols[:, :, m] = ((fk - 1) * n_c)[:, None] + (fi - 1)
+    keep = keep.reshape(n_r * n_r, len(offsets))
+    indptr = np.zeros(n_r * n_r + 1, dtype=idx)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    vals = np.broadcast_to(np.array([stencil[o] for o in offsets]), keep.shape)
+    mat = sp.csr_matrix(
+        (vals[keep], cols.reshape(keep.shape)[keep], indptr), shape=(n_r * n_r, n_c * n_c)
+    )
+    mat.has_canonical_format = True  # sorted, no duplicates
     return mat
 
 

@@ -90,7 +90,10 @@ def _diagonally_dominant(a: sp.csr_matrix) -> bool:
 class CholeskyFactor:
     """Reusable sparse symmetric factorization ``P A P^T = L D L^T``.
 
-    SuperLU factors ``A`` in symmetric mode: one fill-reducing
+    SuperLU factors ``A^T``, the CSC matrix on the arrays of the checked
+    CSR ``A``, so no copy is made, and solves with ``trans="T"``: that
+    solves ``A`` itself, also where ``A`` is symmetric only to the checked
+    bound.  It factors in symmetric mode: one fill-reducing
     minimum-degree ordering of ``A + A^T`` applied to rows and columns alike,
     and the diagonal entry always taken as pivot.  ``U`` is then ``D L^T``,
     so ``A`` is positive definite exactly when the row and column orders
@@ -108,7 +111,7 @@ class CholeskyFactor:
         self.n = a.shape[0]
         try:
             self._lu = spla.splu(
-                a.tocsc(),
+                a.T,  # CSC with the arrays of ``a``: no copy
                 permc_spec="MMD_AT_PLUS_A",
                 diag_pivot_thresh=0.0,
                 options={"SymmetricMode": True},
@@ -128,7 +131,7 @@ class CholeskyFactor:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"right-hand side length {b.shape} does not match size {self.n}")
-        return self._lu.solve(b)
+        return self._lu.solve(b, trans="T")
 
 
 def _dot(u: np.ndarray, v: np.ndarray) -> float:
@@ -211,7 +214,8 @@ def cg_solve(
             break
         alpha = rz / pap
         x += alpha * p
-        r -= alpha * ap
+        ap *= alpha
+        r -= ap
         iterations += 1
         if not confirming and math.sqrt(_dot(r, r)) <= tol * bnorm:
             confirming = True
@@ -222,7 +226,8 @@ def cg_solve(
                 break
         z = precondition(r)
         rz_new = _dot(r, z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        p += z
         rz = rz_new
     if not confirming:
         rel = true_residual()

@@ -15,9 +15,12 @@ each rung keeps the level-``j`` solution ``u_j`` and finds the same
 ``R_j^T u_j`` that solves the level ``j + 1`` stiffness system, by CG
 preconditioned with one multigrid V-cycle over the cached stiffness and
 refinement matrices (``A_{j+1}`` is well conditioned on ``W_j``, the
-prewavelet basis is what is not).  Its iteration count per
-rung does not grow with the level.  A non-finite load is rejected before
-any solve.  Error norms are measured with the degree-5 rule whatever the
+prewavelet basis is what is not).  Its iteration count per rung does not
+grow with the level.  The V-cycle runs folded, as ``V_j = S_j + P_j
+V_{j-1} P_j^T`` with the smoother part ``S_j`` and the cached smoothed
+prolongation ``P_j``: three sparse products per level, and up to
+``DENSE_LEVEL`` one cached dense matrix.  A non-finite load is rejected
+before any solve.  Error norms are measured with the degree-5 rule whatever the
 assembly rule, on the same cell grid as the load vector: the nodal values
 at each triangle vertex are shifted slices of one zero-bordered node
 array, and the discrete gradient comes from the barycentric gradients of
@@ -39,6 +42,10 @@ from . import assembly, linalg, mesh, prewavelet, quadrature
 #: Damped-Jacobi weight of the V-cycle's smoother.
 SMOOTHING_WEIGHT = 0.8
 
+#: Levels up to this one (at most 225 unknowns) apply the V-cycle as its
+#: dense matrix.
+DENSE_LEVEL = 4
+
 
 @lru_cache(maxsize=None)
 def _factor(system, j: int) -> linalg.CholeskyFactor:
@@ -58,12 +65,39 @@ def _prolongation(j: int) -> sp.csr_matrix:
     return assembly.refinement_matrix(j).T.tocsr()
 
 
+@lru_cache(maxsize=None)
+def _smoothed_prolongation(j: int) -> sp.csr_matrix:
+    """``(I - w A_j) R_{j-1}^T`` as CSR, ``w = SMOOTHING_WEIGHT / 4``: the
+    prolongation to level ``j`` followed by one damped-Jacobi sweep, about
+    4.25 entries per level-``j`` unknown.  Formed from the CSC view
+    ``refinement_matrix(j - 1).T``, so a single-level CG solve caches no
+    :func:`_prolongation`, which only the ladder reads."""
+    a = _stiffness(j).csr
+    smoother = sp.identity(a.shape[0], format="csr") - (SMOOTHING_WEIGHT / 4.0) * a
+    p = (smoother @ assembly.refinement_matrix(j - 1).T).tocsr()
+    p.sort_indices()
+    return p
+
+
+@lru_cache(maxsize=None)
+def _dense_v_cycle(j: int) -> np.ndarray:
+    """The matrix of :func:`_v_cycle` at a level ``j <= DENSE_LEVEL``, built
+    by the same recursion from ``M_1 = [[1/4]]``; nothing is factored."""
+    if j == 1:
+        return np.array([[0.25]])
+    weight = SMOOTHING_WEIGHT / 4.0
+    a = _stiffness(j).csr.toarray()
+    smoothing = weight * (2.0 * np.eye(a.shape[0]) - weight * a)
+    p = _smoothed_prolongation(j).toarray()
+    return smoothing + p @ _dense_v_cycle(j - 1) @ p.T
+
+
 def _v_cycle(j: int, r: np.ndarray) -> np.ndarray:
     """One symmetric V-cycle for the level-``j`` stiffness matrix ``A_j``
     applied to ``r``, from a zero start.
 
     One damped-Jacobi sweep (``diag(A_j) == 4``, so its weight is the
-    scalar ``SMOOTHING_WEIGHT / 4``), then the restricted residual is
+    scalar ``w = SMOOTHING_WEIGHT / 4``), then the restricted residual is
     corrected by the V-cycle of level ``j - 1`` and prolonged back, then one
     sweep again; level 1, ``A_1 = [[4]]``, is ``r / 4``.  The coarse
     matrices are the stiffness matrices themselves, since ``R A_j R^T ==
@@ -72,15 +106,24 @@ def _v_cycle(j: int, r: np.ndarray) -> np.ndarray:
     ``SMOOTHING_WEIGHT * lambda_max(D^-1 A) < 2`` (the five-point stencil
     keeps ``lambda_max(D^-1 A)`` below 2) makes it positive definite: a CG
     preconditioner whose iteration count does not grow with ``j``.
+
+    It runs folded, as ``V_j = w (2 I - w A_j) + P_j V_{j-1} P_j^T`` with
+    the smoothed prolongation ``P_j = (I - w A_j) R^T``
+    (:func:`_smoothed_prolongation`): three sparse products per level,
+    ``A_j r``, ``R y`` and ``P_j`` times the coarse correction, for
+    ``y = (I - w A_j) r``.  Up to ``DENSE_LEVEL`` the whole V-cycle is one
+    cached dense matrix (:func:`_dense_v_cycle`), where a sparse product
+    costs more in dispatch than in arithmetic.
     """
-    if j == 1:
-        return r / 4.0
-    a = _stiffness(j).csr
+    if j <= DENSE_LEVEL:
+        return _dense_v_cycle(j) @ r
     weight = SMOOTHING_WEIGHT / 4.0
-    z = weight * r
-    coarse = _v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ (r - a @ z))
-    z += _prolongation(j - 1) @ coarse
-    z += weight * (r - a @ z)
+    y = _stiffness(j).csr @ r
+    y *= -weight
+    y += r
+    z = r + y
+    z *= weight
+    z += _smoothed_prolongation(j) @ _v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ y)
     return z
 
 

@@ -8,12 +8,16 @@ hat function has the closed form of :func:`hat`, which ``test_mesh`` pins
 against the barycentric evaluator.  :func:`p1` evaluates the P1 source a
 ``TabulatedFunction`` stands for.  :func:`clear_caches` resets the
 package's per-level caches, for tests that swap a module function.
+:func:`stencil_matrix` and :func:`v_cycle` are the earlier COO-built stencil
+matrix and the earlier four-product V-cycle, references for the CSR build
+and the folded V-cycle.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 
 from prewavelet_poisson import assembly, linalg, mesh, prewavelet, quadrature, solver
 
@@ -148,3 +152,45 @@ def jacobi(a):
     ``r -> r / diag(a)``."""
     d = a.diagonal()
     return lambda r: r / d
+
+
+def stencil_matrix(j_row, j_col, stencil):
+    """``assembly._stencil_matrix`` built through COO: one stencil row per
+    level ``j_row`` interior vertex, columns on level ``j_col``, entries
+    outside the column interior dropped."""
+    n_r = 2**j_row - 1
+    n_c = 2**j_col - 1
+    mult = 2 ** (j_col - j_row)
+    m = np.arange(n_r * n_r)
+    kc = m // n_r + 1
+    ic = m % n_r + 1
+    rows, cols, vals = [], [], []
+    for (di, dk), v in stencil.items():
+        fi = mult * ic + di
+        fk = mult * kc + dk
+        keep = (fi >= 1) & (fi <= n_c) & (fk >= 1) & (fk <= n_c)
+        rows.append(m[keep])
+        cols.append((fk[keep] - 1) * n_c + (fi[keep] - 1))
+        vals.append(np.full(int(keep.sum()), v))
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_r * n_r, n_c * n_c),
+    ).tocsr()
+    mat.sort_indices()
+    return mat
+
+
+def v_cycle(j, r):
+    """``solver._v_cycle`` unfolded, four sparse products per level: a
+    damped-Jacobi sweep ``z = w r``, the coarse correction of the restricted
+    residual ``r - A z``, and the sweep ``z += w (r - A z)``; ``r / 4`` at
+    level 1."""
+    if j == 1:
+        return r / 4.0
+    a = solver._stiffness(j).csr
+    weight = solver.SMOOTHING_WEIGHT / 4.0
+    z = weight * r
+    coarse = v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ (r - a @ z))
+    z += solver._prolongation(j - 1) @ coarse
+    z += weight * (r - a @ z)
+    return z

@@ -39,6 +39,23 @@ def test_stiffness_stencil_frozen():
     assert d.nnz == _count_axis_pairs(j)
 
 
+@pytest.mark.parametrize("j", range(1, 9))
+def test_stencil_matrices_equal_the_coo_build(j):
+    # built as CSR directly, bit for bit what COO then tocsr gave, and
+    # marked as having sorted indices
+    refine = {(di, dk): v for di, dk, v in mesh._REFINE_STENCIL}
+    for got, want in (
+        (assembly.stiffness_matrix(j), oracle.stencil_matrix(j, j, assembly._STIFFNESS_STENCIL)),
+        (assembly.refinement_matrix(j), oracle.stencil_matrix(j, j + 1, refine)),
+    ):
+        assert got.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        # set when built, not found by a scan on first use
+        assert vars(got).get("_has_sorted_indices") is True
+
+
 def _count_axis_pairs(j: int) -> int:
     # diagonal entries + one entry per ordered axis-neighbor pair
     n = 2**j - 1

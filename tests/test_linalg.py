@@ -44,6 +44,19 @@ def test_factor_fully_coupled_matches_oracle():
     assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-12
 
 
+def test_factor_solves_a_matrix_that_is_symmetric_only_to_the_check():
+    # the factor is of A^T, solved transposed: that solves A itself, so an
+    # asymmetry the check lets through (1e-11 here) costs no accuracy; a
+    # plain solve of A^T would leave a residual near 1e-11
+    rng = np.random.default_rng(3)
+    n = 30
+    a = _random_spd(n, seed=4)
+    a += 1e-11 * np.max(np.abs(a)) * np.triu(rng.uniform(0.5, 1.0, (n, n)), 1)
+    b = rng.standard_normal(n)
+    x = linalg.CholeskyFactor(sp.csr_matrix(a)).solve(b)
+    assert np.linalg.norm(b - a @ x) / np.linalg.norm(b) <= 1e-14
+
+
 def test_factor_tridiagonal_matches_oracle():
     # 1D Laplacian: bandwidth 1 on 200 unknowns, a factor with no fill
     n = 200

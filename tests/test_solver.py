@@ -380,6 +380,30 @@ def test_v_cycle_is_symmetric_positive_definite():
     assert np.linalg.eigvalsh(m).min() > 0.0
 
 
+@pytest.mark.parametrize("j", range(1, 9))
+def test_folded_v_cycle_matches_the_four_product_reference(j):
+    # the same linear operator in three sparse products per level, dense up
+    # to solver.DENSE_LEVEL: equal to rounding on seeded vectors
+    rng = np.random.default_rng(100 + j)
+    for _ in range(3):
+        r = rng.standard_normal(mesh.n_interior(j))
+        want = oracle.v_cycle(j, r)
+        got = solver._v_cycle(j, r)
+        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("j", range(1, solver.DENSE_LEVEL + 1))
+def test_dense_v_cycle_is_the_symmetric_sparse_recursion(j):
+    # the cached dense matrix of a coarse level is the sparse recursion
+    # applied to the identity, symmetric to rounding
+    m = solver._dense_v_cycle(j)
+    eye = np.eye(mesh.n_interior(j))
+    want = np.column_stack([oracle.v_cycle(j, e) for e in eye])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(m - m.T)) <= 1e-15 * scale
+    assert np.max(np.abs(m - want)) <= 1e-14 * scale
+
+
 def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
     # the per-level SymmetricMatrix carries the check; a warm solve makes none
     g = bench.builtin_problems()["sine"].g
