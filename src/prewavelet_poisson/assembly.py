@@ -78,12 +78,13 @@ def refinement_matrix(j: int) -> sp.csr_matrix:
     return _stencil_matrix(j, j + 1, {(di, dk): v for di, dk, v in mesh._REFINE_STENCIL})
 
 
-@lru_cache(maxsize=None)
 def stiffness_matrix(j: int) -> sp.csr_matrix:
     """H1-seminorm Gram matrix of the level-``j`` hats (size ``(2^j-1)^2``).
 
     The stencil is level independent; along the cell diagonals the gradient
-    inner products cancel exactly, leaving the five-point pattern.
+    inner products cancel exactly, leaving the five-point pattern.  Formed
+    on each call: the solver keeps the factor or the checked matrix that a
+    later solve reads again.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")

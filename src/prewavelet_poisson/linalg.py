@@ -10,15 +10,16 @@ only), whose fill follows the sparsity rather than the bandwidth.  The
 stiffness matrix is certified positive definite by diagonal dominance; the
 detail Gram is not dominant, so its pivots are checked.  ``cg_solve`` is
 conjugate gradients from a zero start with the caller's preconditioner,
-any SPD map ``r -> z`` (the solver passes one multigrid V-cycle).  It has
-one stopping rule: it reports converged only when the true relative
-residual of the returned solution meets the tolerance, and it reports that
-residual.  Its inner products and norms bypass BLAS.  Both reject a matrix
-that is not square and symmetric, or has non-finite entries, with
-ValueError, so neither hands back the solution of a system that cannot be
-SPD.  ``CholeskyFactor`` checks once per factor;
-``cg_solve`` takes only a ``SymmetricMatrix``, which was checked once when
-it was built, and refuses any other matrix with TypeError.
+any SPD map ``r -> z`` (the solver passes the sine-transform inverse of
+the stiffness matrix, which is exact).  It has one stopping rule: it
+reports converged only when the true relative residual of the returned
+solution meets the tolerance, and it reports that residual.  Its inner
+products and norms bypass BLAS.  Both reject a matrix that is not square
+and symmetric, or has non-finite entries, with ValueError, so neither
+hands back the solution of a system that cannot be SPD.
+``CholeskyFactor`` checks once per factor; ``cg_solve`` takes only a
+``SymmetricMatrix``, which was checked once when it was built, and refuses
+any other matrix with TypeError.
 """
 
 from __future__ import annotations

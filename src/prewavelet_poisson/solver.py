@@ -12,16 +12,13 @@ each detail Gram and each stiffness matrix once per level and caches the
 factors, not the Grams.  The CG ladder forms no detail Gram and no factor:
 each rung keeps the level-``j`` solution ``u_j`` and finds the same
 ``W_j`` component in nodal coordinates, as the correction ``w`` to
-``R_j^T u_j`` that solves the level ``j + 1`` stiffness system, by CG
-preconditioned with one multigrid V-cycle over the cached stiffness and
-refinement matrices (``A_{j+1}`` is well conditioned on ``W_j``, the
-prewavelet basis is what is not).  Its iteration count per rung does not
-grow with the level.  The V-cycle runs folded, as ``V_j = S_j + P_j
-V_{j-1} P_j^T`` with the smoother part ``S_j`` and the cached smoothed
-prolongation ``P_j``: three sparse products per level, and up to
-``DENSE_LEVEL`` one cached dense matrix.  A non-finite load is rejected
-before any solve.  Error norms are measured with the degree-5 rule whatever the
-assembly rule, on the same cell grid as the load vector: the nodal values
+``R_j^T u_j`` that solves the level ``j + 1`` stiffness system by CG.
+The stiffness matrix is the five-point matrix on a uniform grid, which the
+sine transform diagonalises, so CG is preconditioned with its exact
+inverse (:func:`_poisson_inverse`) and each rung takes one iteration; CG
+still decides convergence on the true residual.  A non-finite load is
+rejected before any solve.  Error norms are measured with the degree-5 rule
+whatever the assembly rule, on the same cell grid as the load vector: the nodal values
 at each triangle vertex are shifted slices of one zero-bordered node
 array, and the discrete gradient comes from the barycentric gradients of
 the two reference triangles.
@@ -29,7 +26,6 @@ the two reference triangles.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -37,14 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, linalg, mesh, prewavelet, quadrature
-
-
-#: Damped-Jacobi weight of the V-cycle's smoother.
-SMOOTHING_WEIGHT = 0.8
-
-#: Levels up to this one (at most 225 unknowns) apply the V-cycle as its
-#: dense matrix.
-DENSE_LEVEL = 4
 
 
 @lru_cache(maxsize=None)
@@ -59,81 +47,47 @@ def _stiffness(j: int) -> linalg.SymmetricMatrix:
 
 
 @lru_cache(maxsize=None)
-def _prolongation(j: int) -> sp.csr_matrix:
-    """``refinement_matrix(j).T`` as CSR, transposed once: level-``j``
-    nodal coefficients to level ``j + 1``."""
-    return assembly.refinement_matrix(j).T.tocsr()
+def _prolongation(j: int) -> sp.csc_matrix:
+    """``refinement_matrix(j).T``, the CSC view on the refinement matrix's
+    arrays: level-``j`` nodal coefficients to level ``j + 1``."""
+    return assembly.refinement_matrix(j).T
 
 
-@lru_cache(maxsize=None)
-def _smoothed_prolongation(j: int) -> sp.csr_matrix:
-    """``(I - w A_j) R_{j-1}^T`` as CSR, ``w = SMOOTHING_WEIGHT / 4``: the
-    prolongation to level ``j`` followed by one damped-Jacobi sweep, about
-    4.25 entries per level-``j`` unknown.  Formed from the CSC view
-    ``refinement_matrix(j - 1).T``, so a single-level CG solve caches no
-    :func:`_prolongation`, which only the ladder reads."""
-    a = _stiffness(j).csr
-    smoother = sp.identity(a.shape[0], format="csr") - (SMOOTHING_WEIGHT / 4.0) * a
-    p = (smoother @ assembly.refinement_matrix(j - 1).T).tocsr()
-    p.sort_indices()
-    return p
+def _poisson_inverse(j: int, r: np.ndarray) -> np.ndarray:
+    """``A_j^-1 r`` for the level-``j`` stiffness matrix ``A_j``.
 
-
-@lru_cache(maxsize=None)
-def _dense_v_cycle(j: int) -> np.ndarray:
-    """The matrix of :func:`_v_cycle` at a level ``j <= DENSE_LEVEL``, built
-    by the same recursion from ``M_1 = [[1/4]]``; nothing is factored."""
-    if j == 1:
-        return np.array([[0.25]])
-    weight = SMOOTHING_WEIGHT / 4.0
-    a = _stiffness(j).csr.toarray()
-    smoothing = weight * (2.0 * np.eye(a.shape[0]) - weight * a)
-    p = _smoothed_prolongation(j).toarray()
-    return smoothing + p @ _dense_v_cycle(j - 1) @ p.T
-
-
-def _v_cycle(j: int, r: np.ndarray) -> np.ndarray:
-    """One symmetric V-cycle for the level-``j`` stiffness matrix ``A_j``
-    applied to ``r``, from a zero start.
-
-    One damped-Jacobi sweep (``diag(A_j) == 4``, so its weight is the
-    scalar ``w = SMOOTHING_WEIGHT / 4``), then the restricted residual is
-    corrected by the V-cycle of level ``j - 1`` and prolonged back, then one
-    sweep again; level 1, ``A_1 = [[4]]``, is ``r / 4``.  The coarse
-    matrices are the stiffness matrices themselves, since ``R A_j R^T ==
-    A_{j-1}`` holds exactly for ``R = refinement_matrix(j - 1)``.  The same
-    sweep on both sides makes the map ``r -> z`` symmetric, and
-    ``SMOOTHING_WEIGHT * lambda_max(D^-1 A) < 2`` (the five-point stencil
-    keeps ``lambda_max(D^-1 A)`` below 2) makes it positive definite: a CG
-    preconditioner whose iteration count does not grow with ``j``.
-
-    It runs folded, as ``V_j = w (2 I - w A_j) + P_j V_{j-1} P_j^T`` with
-    the smoothed prolongation ``P_j = (I - w A_j) R^T``
-    (:func:`_smoothed_prolongation`): three sparse products per level,
-    ``A_j r``, ``R y`` and ``P_j`` times the coarse correction, for
-    ``y = (I - w A_j) r``.  Up to ``DENSE_LEVEL`` the whole V-cycle is one
-    cached dense matrix (:func:`_dense_v_cycle`), where a sparse product
-    costs more in dispatch than in arithmetic.
+    ``A_j = T (x) I + I (x) T`` with ``T = tridiag(-1, 2, -1)`` of order
+    ``m = 2^j - 1``, so the sine transform diagonalises it (Buzbee, Golub &
+    Nielson, SIAM J. Numer. Anal. 7, 1970): with ``S_pk = sin(p k pi /
+    (m + 1))``, symmetric and ``S S = (m + 1) / 2 I``, transform ``S r S``,
+    divide by the eigenvalues ``d_p + d_q`` with ``d_p = 4 sin^2(p pi /
+    2^(j+1))`` (this form avoids the cancellation of ``2 - 2 cos``) and
+    transform back.  Each sweep gives ``-y^T S``, the sine sums of the rows
+    of ``y`` read off the imaginary part of a real FFT of length
+    ``2 (m + 1)``; two sweeps give ``S y S``.  The FFT is NumPy's, which
+    costs no import: ``scipy.fft`` loads ``scipy.special`` with it.  As a CG
+    preconditioner it is exact, so a solve takes one iteration.
     """
-    if j <= DENSE_LEVEL:
-        return _dense_v_cycle(j) @ r
-    weight = SMOOTHING_WEIGHT / 4.0
-    y = _stiffness(j).csr @ r
-    y *= -weight
-    y += r
-    z = r + y
-    z *= weight
-    z += _smoothed_prolongation(j) @ _v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ y)
-    return z
+    m = 2**j - 1
+    d = 4.0 * np.sin(np.arange(1, m + 1) * (np.pi / 2 ** (j + 1))) ** 2
+    rows = np.zeros((m, m + 1))  # a leading zero, then the m values of a row
+
+    def sweep(y: np.ndarray) -> np.ndarray:
+        rows[:, 1:] = y.T
+        return np.fft.rfft(rows, n=2 * (m + 1)).imag[:, 1 : m + 1]
+
+    y = sweep(sweep(r.reshape(m, m)))
+    y /= (d[:, None] + d) * ((m + 1) / 2) ** 2
+    return sweep(sweep(y)).ravel()
 
 
 def _solve(j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
     """Solve ``stiffness_matrix(j) x = rhs``: by its cached factor, or by
-    CG preconditioned with one :func:`_v_cycle` per iteration."""
+    CG preconditioned with :func:`_poisson_inverse`."""
     if solver == "direct":
         return _factor(assembly.stiffness_matrix, j).solve(rhs)
     if solver == "cg":
-        x, report = linalg.cg_solve(_stiffness(j), rhs, partial(_v_cycle, j), tol)
+        x, report = linalg.cg_solve(_stiffness(j), rhs, partial(_poisson_inverse, j), tol)
         if not report.converged:
             raise RuntimeError(
                 f"cg did not reach tol {tol:.3g}: relative residual "
@@ -148,8 +102,9 @@ def fem_solve(j: int, g, solver: str = "direct", tol: float = 1e-10) -> np.ndarr
 
     Returns the nodal values at the interior vertices (the hat basis is
     nodal).  ``solver`` picks Cholesky (cached per level) or conjugate
-    gradients with relative tolerance ``tol``, which factors nothing.  This
-    is the ladder with no detail levels, loaded with the ``mid3`` rule:
+    gradients with relative tolerance ``tol``, preconditioned with the
+    sine-transform inverse of the stiffness matrix, which factors nothing.
+    This is the ladder with no detail levels, loaded with the ``mid3`` rule:
     ``multilevel_solve(j, g, rule, base_level=j)`` takes another rule.
     """
     return multilevel_solve(j, g, base_level=j, solver=solver, tol=tol).coarse
@@ -328,10 +283,11 @@ def export_solution_csv(f, j: int, coeffs: np.ndarray) -> None:
     n = 2**j - 1
     if coeffs.shape != (n * n,):
         raise ValueError(f"expected {n * n} values for level {j}, got shape {coeffs.shape}")
-    writer = csv.writer(f)
-    writer.writerow(["level", "i", "k", "x", "y", "value"])
-    for m in range(n * n):
-        k, i = divmod(m, n)
-        i += 1
-        k += 1
-        writer.writerow([j, i, k, repr(i / 2**j), repr(k / 2**j), repr(float(coeffs[m]))])
+    # the bytes of csv.writer's default dialect, written in one call
+    axis = [(i, repr(i / 2**j)) for i in range(1, n + 1)]
+    vertices = ((i, x, k, y) for k, y in axis for i, x in axis)  # row-major
+    f.write("level,i,k,x,y,value\r\n")
+    f.writelines(
+        f"{j},{i},{k},{x},{y},{v}\r\n"
+        for (i, x, k, y), v in zip(vertices, map(repr, coeffs.tolist()))
+    )

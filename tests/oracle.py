@@ -8,11 +8,12 @@ hat function has the closed form of :func:`hat`, which ``test_mesh`` pins
 against the barycentric evaluator.  :func:`p1` evaluates the P1 source a
 ``TabulatedFunction`` stands for.  :func:`clear_caches` resets the
 package's per-level caches, for tests that swap a module function.
-:func:`stencil_matrix` and :func:`v_cycle` are the earlier COO-built stencil
-matrix and the earlier four-product V-cycle, references for the CSR build
-and the folded V-cycle.
+:func:`stencil_matrix` and :func:`export_solution_csv` are the earlier
+COO-built stencil matrix and the earlier row-by-row CSV writer, references
+for the CSR build and the batched writer.
 """
 
+import csv
 from fractions import Fraction
 from functools import lru_cache
 
@@ -180,17 +181,14 @@ def stencil_matrix(j_row, j_col, stencil):
     return mat
 
 
-def v_cycle(j, r):
-    """``solver._v_cycle`` unfolded, four sparse products per level: a
-    damped-Jacobi sweep ``z = w r``, the coarse correction of the restricted
-    residual ``r - A z``, and the sweep ``z += w (r - A z)``; ``r / 4`` at
-    level 1."""
-    if j == 1:
-        return r / 4.0
-    a = solver._stiffness(j).csr
-    weight = solver.SMOOTHING_WEIGHT / 4.0
-    z = weight * r
-    coarse = v_cycle(j - 1, assembly.refinement_matrix(j - 1) @ (r - a @ z))
-    z += solver._prolongation(j - 1) @ coarse
-    z += weight * (r - a @ z)
-    return z
+def export_solution_csv(f, j, coeffs):
+    """``solver.export_solution_csv`` as one ``csv.writer`` row per vertex:
+    ``level,i,k,x,y,value`` with ``repr`` coordinates and values."""
+    n = 2**j - 1
+    writer = csv.writer(f)
+    writer.writerow(["level", "i", "k", "x", "y", "value"])
+    for m in range(n * n):
+        k, i = divmod(m, n)
+        i += 1
+        k += 1
+        writer.writerow([j, i, k, repr(i / 2**j), repr(k / 2**j), repr(float(coeffs[m]))])

@@ -21,7 +21,7 @@ def test_stiffness_matches_gradient_oracle(j):
 
 def test_stiffness_stencil_frozen():
     assert assembly.stiffness_matrix(1).toarray().tolist() == [[4.0]]
-    # the V-cycle's damped-Jacobi weight is a scalar because of this
+    # solver._poisson_inverse diagonalises exactly this five-point matrix
     for level in range(1, 10):
         assert np.all(assembly.stiffness_matrix(level).diagonal() == 4.0), level
     j = 3

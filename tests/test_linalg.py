@@ -292,8 +292,8 @@ def test_cg_detail_iterations_at_level_six():
 
 @pytest.mark.parametrize("j", (2, 3, 4, 5))
 def test_coarse_matrix_is_the_sparse_galerkin_product(j):
-    # the V-cycle's coarse matrix at level j is the stiffness matrix itself:
-    # R A_{j+1} R^T with the cached CSR transpose, exactly, entry for entry
+    # the coarse stiffness matrix is the Galerkin product R A_{j+1} R^T with
+    # the cached prolongation, exactly, entry for entry
     r = assembly.refinement_matrix(j)
     galerkin = r @ assembly.stiffness_matrix(j + 1) @ solver._prolongation(j)
     assert (solver._prolongation(j) != r.T).nnz == 0
@@ -304,13 +304,13 @@ def _rung(j: int, fine_load: np.ndarray):
     """The CG ladder's rung from level ``j`` to ``j + 1``: the level-``j``
     solution of the restricted load, then the stiffness system of level
     ``j + 1`` whose solution is its ``W_j`` detail, with that level's
-    V-cycle."""
+    exact inverse as preconditioner."""
     u = linalg.CholeskyFactor(assembly.stiffness_matrix(j)).solve(
         assembly.refinement_matrix(j) @ fine_load
     )
     pu = solver._prolongation(j) @ u
     a = assembly.stiffness_matrix(j + 1)
-    return a, fine_load - a @ pu, partial(solver._v_cycle, j + 1)
+    return a, fine_load - a @ pu, partial(solver._poisson_inverse, j + 1)
 
 
 def test_two_level_cg_matches_cholesky_on_detail_gram():
@@ -332,13 +332,13 @@ def test_two_level_cg_matches_cholesky_on_detail_gram():
 def test_two_level_cg_detail_iterations(j, bound):
     # the bounds of the detail-Gram CG with its aggregate coarse space (about
     # 50, 71, 104; Jacobi alone 188, 363, 735); the nodal detail solve with
-    # one V-cycle per iteration takes 12 at each of these levels
+    # the exact inverse takes 1 at each of these levels
     g = bench.builtin_problems()["sine"].g
     a, r, precondition = _rung(j, quadrature.load_vector(j + 1, g))
     _, report = linalg.cg_solve(linalg.SymmetricMatrix(a), r, precondition, tol=1e-10)
     assert report.converged
     assert report.iterations <= bound
-    assert report.iterations <= 15
+    assert report.iterations <= 2
 
 
 def test_cg_checks_a_symmetric_matrix_once(monkeypatch):
@@ -368,8 +368,8 @@ def test_cg_checks_a_symmetric_matrix_once(monkeypatch):
 
 def _systems():
     """The detail Grams j = 2..5 with Jacobi and the stiffness matrices at
-    levels 5, 6 and 7 with the V-cycle, each a SymmetricMatrix with its sine
-    right-hand side and its preconditioner."""
+    levels 5, 6 and 7 with their exact inverses, each a SymmetricMatrix
+    with its sine right-hand side and its preconditioner."""
     g = bench.builtin_problems()["sine"].g
     for j in range(2, 6):
         a = prewavelet.wavelet_gram(j)
@@ -378,7 +378,7 @@ def _systems():
     for level in (5, 6, 7):
         b = quadrature.load_vector(level, g)
         yield f"stiffness {level}", solver._stiffness(level), b, partial(
-            solver._v_cycle, level
+            solver._poisson_inverse, level
         )
 
 

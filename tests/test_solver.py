@@ -308,13 +308,13 @@ def _recording_cg(monkeypatch):
 def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
     # CG runs on stiffness matrices only: the solve at level 1, then one
     # detail correction at each of levels 2, 3, 4.  Each is preconditioned by
-    # the V-cycle of its own level, so only the detail corrections get the
-    # coarse levels; the V-cycle of level 1 is r / 4 alone
+    # the exact inverse of its own level's stiffness matrix; the direct
+    # ladder calls no CG
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
     assert [n for n, _, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
     for level, (_, precondition, _) in zip((1, 2, 3, 4), calls):
-        assert precondition.func is solver._v_cycle
+        assert precondition.func is solver._poisson_inverse
         assert precondition.args == (level,)
     assert calls[0][2].iterations == 1
     calls.clear()
@@ -323,8 +323,8 @@ def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
 
 
 def test_cg_ladder_iterations_are_flat_in_the_level(monkeypatch):
-    # one V-cycle per iteration keeps the rungs at 10-12 iterations from
-    # level 3 up; Jacobi alone takes 288 on the rung to level 7
+    # the exact inverse keeps every rung at one iteration; Jacobi alone takes
+    # 288 on the rung to level 7
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(8, bench.builtin_problems()["sine"].g, solver="cg")
     iterations = [report.iterations for _, _, report in calls[2:]]
@@ -372,36 +372,50 @@ def test_direct_and_cg_details_are_the_same_components(source):
         assert np.linalg.norm(cross @ wc) <= 10 * tol * f, j
 
 
+@pytest.mark.parametrize("source", ("sine", "poly", "exp", "tabulated"))
+def test_cg_ladder_rungs_take_one_iteration(source, monkeypatch):
+    # the preconditioner is the exact inverse, so the first CG step lands on
+    # the solution to rounding on every rung to level 9
+    load = quadrature.load_vector(9, _sources()[source])
+    calls = _recording_cg(monkeypatch)
+    solver.multilevel_from_load(9, load, solver="cg", tol=1e-10)
+    assert [n for n, _, _ in calls] == [mesh.n_interior(j) for j in range(1, 10)]
+    assert [report.iterations for _, _, report in calls] == [1] * 9
+
+
 def test_v_cycle_is_symmetric_positive_definite():
-    # CG needs an SPD preconditioner: the V-cycle's dense operator at level 4
+    # CG needs an SPD preconditioner: the dense operator of the transform
+    # inverse at level 4
     n = mesh.n_interior(4)
-    m = np.column_stack([solver._v_cycle(4, e) for e in np.eye(n)])
+    m = np.column_stack([solver._poisson_inverse(4, e) for e in np.eye(n)])
     assert np.max(np.abs(m - m.T)) <= 1e-13
     assert np.linalg.eigvalsh(m).min() > 0.0
 
 
-@pytest.mark.parametrize("j", range(1, 9))
-def test_folded_v_cycle_matches_the_four_product_reference(j):
-    # the same linear operator in three sparse products per level, dense up
-    # to solver.DENSE_LEVEL: equal to rounding on seeded vectors
-    rng = np.random.default_rng(100 + j)
-    for _ in range(3):
-        r = rng.standard_normal(mesh.n_interior(j))
-        want = oracle.v_cycle(j, r)
-        got = solver._v_cycle(j, r)
-        assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+@pytest.mark.parametrize("j", range(1, 10))
+def test_poisson_inverse_inverts_the_stiffness_matrix(j):
+    # A_j^-1 (A_j x) gives x back to 1e-12 relative, and up to level 4 the
+    # operator is the dense inverse
+    a = assembly.stiffness_matrix(j)
+    x = np.random.default_rng(200 + j).standard_normal(a.shape[0])
+    got = solver._poisson_inverse(j, a @ x)
+    assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+    if j <= 4:
+        m = np.column_stack([solver._poisson_inverse(j, e) for e in np.eye(a.shape[0])])
+        want = np.linalg.inv(a.toarray())
+        assert np.max(np.abs(m - want)) <= 1e-14 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("j", range(1, solver.DENSE_LEVEL + 1))
-def test_dense_v_cycle_is_the_symmetric_sparse_recursion(j):
-    # the cached dense matrix of a coarse level is the sparse recursion
-    # applied to the identity, symmetric to rounding
-    m = solver._dense_v_cycle(j)
-    eye = np.eye(mesh.n_interior(j))
-    want = np.column_stack([oracle.v_cycle(j, e) for e in eye])
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(m - m.T)) <= 1e-15 * scale
-    assert np.max(np.abs(m - want)) <= 1e-14 * scale
+@pytest.mark.parametrize("j", (1, 6, 9))
+def test_prolongation_is_a_view_on_the_refinement_matrix(j):
+    # the cached prolongation holds no copy of R_j: its CSC arrays are R_j's
+    # CSR arrays, and it multiplies to the same bits as a CSR transpose
+    r = assembly.refinement_matrix(j)
+    p = solver._prolongation(j)
+    for mine, theirs in ((p.data, r.data), (p.indices, r.indices), (p.indptr, r.indptr)):
+        assert np.shares_memory(mine, theirs)
+    u = np.random.default_rng(300 + j).standard_normal(r.shape[0])
+    assert np.array_equal(p @ u, r.T.tocsr() @ u)
 
 
 def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
@@ -417,8 +431,8 @@ def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
 
 
 def test_cg_ladder_and_cg_fem_build_no_factor(monkeypatch):
-    # the V-cycle ends in r / 4 at level 1, so from cold caches neither CG
-    # path constructs a CholeskyFactor; the direct solve does
+    # every CG solve is preconditioned by the transform inverse, so from cold
+    # caches neither CG path constructs a CholeskyFactor; the direct solve does
     oracle.clear_caches()
     built = []
     init = linalg.CholeskyFactor.__init__
@@ -449,6 +463,20 @@ def test_export_solution_csv():
     assert float(first[5]) == coeffs[0]
     # row-major: second row is (i,k) = (2,1)
     assert lines[2].split(",")[1:3] == ["2", "1"]
+
+
+@pytest.mark.parametrize("j", (3, 7))
+def test_export_solution_csv_is_byte_identical_to_the_row_writer(j):
+    # the batched writer gives the bytes of one csv.writer row per vertex, for
+    # values from 1e-300 to 1e300 of either sign, signed zeros and non-finite
+    n = mesh.n_interior(j)
+    rng = np.random.default_rng(400 + j)
+    coeffs = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 301, n)
+    coeffs[:5] = (0.0, -0.0, np.inf, -np.inf, np.nan)
+    got, want = io.StringIO(), io.StringIO()
+    solver.export_solution_csv(got, j, coeffs)
+    oracle.export_solution_csv(want, j, coeffs)
+    assert got.getvalue() == want.getvalue()
 
 
 @pytest.mark.parametrize("method", ("direct", "cg"))
