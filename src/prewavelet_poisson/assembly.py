@@ -83,8 +83,8 @@ def stiffness_matrix(j: int) -> sp.csr_matrix:
 
     The stencil is level independent; along the cell diagonals the gradient
     inner products cancel exactly, leaving the five-point pattern.  Formed
-    on each call: the solver keeps the factor or the checked matrix that a
-    later solve reads again.
+    on each call: the solver keeps the checked matrix that a later solve
+    reads again.
     """
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")

@@ -1,10 +1,10 @@
 """Built-in test problems and the accuracy table.
 
-Per problem, tolerance (None for the direct factor) and level, the load is
+Per problem, tolerance (None for the direct ladder) and level, the load is
 assembled once and the prewavelet ladder is solved on it from level 1.  The
 table records the H1 and L2 errors of the prolonged ladder (degree-5 rule),
 their observed rates against the previous level of the run, and
-``ladder_vs_fem``: the max-norm relative difference from direct FEM
+``ladder_vs_fem``: the max-norm relative difference from single-level FEM
 (``fem_solve``) on the same load.  A failed solve is recorded with NaN
 fields rather than aborting the sweep.
 Speed is measured by ``perfbench``, not here.
@@ -131,8 +131,12 @@ def _accuracy(problem, level, solver_name, tol, rule):
     """``(h1_error, l2_error, ladder_vs_fem)`` of the ladder from level 1;
     all three NaN when a solve fails."""
     load = quadrature.load_vector(level, problem.g, rule)
+    # a direct row (tol None) solves its stiffness systems to the library's default tol
+    settings = {} if tol is None else {"tol": tol}
     try:
-        ladder = solver.multilevel_from_load(level, load, solver=solver_name, tol=tol).prolong()
+        ladder = solver.multilevel_from_load(
+            level, load, solver=solver_name, **settings
+        ).prolong()
         fem = solver.multilevel_from_load(level, load, base_level=level).coarse
     except (linalg.NotPositiveDefiniteError, RuntimeError):
         return (math.nan,) * 3
@@ -152,9 +156,9 @@ def run_benchmark(
     """The accuracy table: one record per problem, tolerance and level,
     with levels ascending.
 
-    A tolerance is a solver setting: None solves with the direct factor, a
-    number with CG to that tolerance.  The levels must be distinct and at
-    least 1.
+    A tolerance is a solver setting: None runs the direct ladder (factored
+    detail Grams), a number the CG ladder to that tolerance.  The levels
+    must be distinct and at least 1.
     """
     levels = sorted(levels)
     if levels and levels[0] < 1:

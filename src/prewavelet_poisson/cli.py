@@ -89,9 +89,10 @@ def _load_problem_file(path: str):
 
     The rhs is either the name of a builtin right-hand side or an object
     {"values": [[...]]} of nodal samples on a (2^m + 1)^2 grid, interpolated
-    piecewise-linearly.  Corner values [a1, a2, a3, a4] order the corners
-    (0,0), (0,1), (1,1), (1,0); the boundary condition is their bilinear
-    interpolant.
+    piecewise-linearly; a grid level m above the level cap is a
+    configuration error, as a level above it is.  Corner values [a1, a2,
+    a3, a4] order the corners (0,0), (0,1), (1,1), (1,0); the boundary
+    condition is their bilinear interpolant.
     """
     try:
         with open(path, "r", encoding="utf-8") as f:
@@ -118,6 +119,12 @@ def _load_problem_file(path: str):
             g = quadrature.TabulatedFunction(values)
         except ValueError as exc:
             raise _ConfigError(f"bad tabulated rhs in {path}: {exc}") from exc
+        cap = _max_level()
+        if g.level > cap:
+            raise _ConfigError(
+                f"tabulated rhs in {path} is sampled at grid level {g.level}, above the "
+                f"level cap {cap} (cap from PREWAVELET_MAX_LEVEL)"
+            )
     else:
         raise _ConfigError(
             "rhs must be a builtin name or an object with nodal 'values'"
@@ -288,7 +295,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_solve.add_argument("--method", choices=("fem", "prewavelet"), default="prewavelet")
     p_solve.add_argument("--solver", choices=("direct", "cg"), default="direct")
-    p_solve.add_argument("--tol", type=float, default=1e-10, help="cg relative tolerance")
+    p_solve.add_argument(
+        "--tol",
+        type=float,
+        default=1e-10,
+        help="relative tolerance of every stiffness solve and CG rung",
+    )
     p_solve.add_argument("--quad", choices=tuple(quadrature.RULES), default="mid3")
     p_solve.add_argument("--out", default="solution.csv", help="output CSV path")
     p_solve.set_defaults(fn=_cmd_solve)

@@ -3,21 +3,20 @@
 Both Galerkin systems solved in this package are SPD: the hat-basis
 stiffness matrix (five-point pattern) and the detail Gram matrix (sparse
 apart from one globally supported row, which gives it a bandwidth of nearly
-its size).  ``CholeskyFactor`` is the one direct path and factors either
-one the same way: a sparse symmetric ``P A P^T = L D L^T`` factorization
-(SuperLU with a minimum-degree ordering of ``A + A^T`` and diagonal pivots
-only), whose fill follows the sparsity rather than the bandwidth.  The
-stiffness matrix is certified positive definite by diagonal dominance; the
-detail Gram is not dominant, so its pivots are checked.  ``cg_solve`` is
-conjugate gradients from a zero start with the caller's preconditioner,
-any SPD map ``r -> z`` (the solver passes the sine-transform inverse of
-the stiffness matrix, which is exact).  It has one stopping rule: it
-reports converged only when the true relative residual of the returned
-solution meets the tolerance, and it reports that residual.  Its inner
-products and norms bypass BLAS.  Both reject a matrix that is not square
-and symmetric, or has non-finite entries, with ValueError, so neither
-hands back the solution of a system that cannot be SPD.
-``CholeskyFactor`` checks once per factor; ``cg_solve`` takes only a
+its size).  ``CholeskyFactor`` is the one direct path, and the package
+factors only detail Grams with it: a sparse symmetric ``P A P^T = L D L^T``
+factorization (SuperLU with a minimum-degree ordering of ``A + A^T`` and
+diagonal pivots only), whose fill follows the sparsity rather than the
+bandwidth, and whose pivots are checked.  ``cg_solve`` is conjugate
+gradients from a zero start with the caller's preconditioner, any SPD map
+``r -> z``; the solver passes the sine-transform inverse of the stiffness
+matrix, which is exact, and solves every stiffness system this way.  It
+has one stopping rule: it reports converged only when the true relative
+residual of the returned solution meets the tolerance, and it reports
+that residual.  Its inner products and norms bypass BLAS.  Both reject a
+matrix that is not square and symmetric, or has non-finite entries, with
+ValueError, so neither hands back the solution of a system that cannot be
+SPD.  ``CholeskyFactor`` checks once per factor; ``cg_solve`` takes only a
 ``SymmetricMatrix``, which was checked once when it was built, and refuses
 any other matrix with TypeError.
 """
@@ -31,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.sparse import csgraph
 
 
 class NotPositiveDefiniteError(Exception):
@@ -67,27 +65,6 @@ def _check_matrix(a) -> sp.csr_matrix:
     return a
 
 
-def _diagonally_dominant(a: sp.csr_matrix) -> bool:
-    """Whether the symmetric ``a`` is positive definite by diagonal dominance:
-    a positive diagonal, ``a_ii >= sum_{k != i} |a_ik|`` in every row, and in
-    each connected component of its graph a row where that holds strictly,
-    beyond the rounding of its sum (Taussky, Amer. Math. Monthly 56, 1949).
-    O(nnz), with no loop over rows."""
-    diag = a.diagonal()
-    if not np.all(diag > 0.0):
-        return False
-    row_sum = np.add.reduceat(np.abs(a.data), a.indptr[:-1])  # no row is empty
-    off = row_sum - diag
-    if not np.all(off <= diag):
-        return False
-    graph = a.copy()
-    graph.sum_duplicates()
-    graph.eliminate_zeros()  # csgraph takes a stored zero for an edge
-    n_blocks, block = csgraph.connected_components(graph, directed=False)
-    strict = diag - off > np.finfo(float).eps * np.diff(a.indptr) * row_sum
-    return np.unique(block[strict]).size == n_blocks
-
-
 class CholeskyFactor:
     """Reusable sparse symmetric factorization ``P A P^T = L D L^T``.
 
@@ -100,11 +77,9 @@ class CholeskyFactor:
     so ``A`` is positive definite exactly when the row and column orders
     agree and every diagonal entry of ``U`` is positive; anything else
     raises NotPositiveDefiniteError, as does an exactly singular factor.
-    The pivots are read only when :func:`_diagonally_dominant` does not
-    certify ``A`` (a detail Gram, not a stiffness matrix): reading them
-    makes SuperLU keep CSC copies of ``L`` and ``U`` beside its factor.  A
-    matrix that is not square and symmetric, or has non-finite entries,
-    raises ValueError first.
+    Reading the pivots makes SuperLU keep CSC copies of ``L`` and ``U``
+    beside its factor.  A matrix that is not square and symmetric, or has
+    non-finite entries, raises ValueError first.
     """
 
     def __init__(self, a) -> None:
@@ -121,8 +96,6 @@ class CholeskyFactor:
             raise NotPositiveDefiniteError(str(exc)) from exc
         if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
             raise NotPositiveDefiniteError("a zero diagonal pivot forced a row interchange")
-        if _diagonally_dominant(a):
-            return
         pivots = self._lu.U.diagonal()  # SuperLU keeps CSC copies of L and U from here on
         if not np.all(pivots > 0.0):
             worst = float(np.min(pivots))

@@ -6,17 +6,19 @@ level (the coarse load is exactly the refinement matrix applied to the fine
 load), the prolonged ladder coefficients reproduce the direct fine-level
 solution to solver precision, which is the central equivalence this package
 exists to demonstrate.  ``fem_solve``, the single-level Galerkin solve, is
-the ladder with no detail levels (``base_level == top_level``).  The
+the ladder with no detail levels (``base_level == top_level``).  Every
+stiffness system, the coarse solve of either ladder included, has one
+solve path: the stiffness matrix is the five-point matrix on a uniform
+grid, which the sine transform diagonalises, so CG preconditioned with its
+exact inverse (:func:`_poisson_inverse`) solves it in one iteration, and
+CG still decides convergence on the true residual.  No stiffness matrix is
+factored.  The ladders differ only in how they find each detail.  The
 direct ladder is the paper's method in the prewavelet basis: it factors
-each detail Gram and each stiffness matrix once per level and caches the
-factors, not the Grams.  The CG ladder forms no detail Gram and no factor:
-each rung keeps the level-``j`` solution ``u_j`` and finds the same
-``W_j`` component in nodal coordinates, as the correction ``w`` to
-``R_j^T u_j`` that solves the level ``j + 1`` stiffness system by CG.
-The stiffness matrix is the five-point matrix on a uniform grid, which the
-sine transform diagonalises, so CG is preconditioned with its exact
-inverse (:func:`_poisson_inverse`) and each rung takes one iteration; CG
-still decides convergence on the true residual.  A non-finite load is
+each detail Gram once per level and caches the factors, not the Grams.
+The CG ladder forms no detail Gram and no factor: each rung keeps the
+level-``j`` solution ``u_j`` and finds the same ``W_j`` component in nodal
+coordinates, as the correction ``w`` to ``R_j^T u_j`` that solves the
+level ``j + 1`` stiffness system.  A non-finite load is
 rejected before any solve.  Error norms are measured with the degree-5 rule
 whatever the assembly rule, on the same cell grid as the load vector: the nodal values
 at each triangle vertex are shifted slices of one zero-bordered node
@@ -36,8 +38,9 @@ from . import assembly, linalg, mesh, prewavelet, quadrature
 
 
 @lru_cache(maxsize=None)
-def _factor(system, j: int) -> linalg.CholeskyFactor:
-    return linalg.CholeskyFactor(system(j))
+def _gram_factor(j: int) -> linalg.CholeskyFactor:
+    """The factor of the level-``j`` detail Gram, for the direct ladder."""
+    return linalg.CholeskyFactor(prewavelet.wavelet_gram(j))
 
 
 @lru_cache(maxsize=None)
@@ -81,31 +84,29 @@ def _poisson_inverse(j: int, r: np.ndarray) -> np.ndarray:
     return sweep(sweep(y)).ravel()
 
 
-def _solve(j: int, rhs: np.ndarray, solver: str, tol: float) -> np.ndarray:
-    """Solve ``stiffness_matrix(j) x = rhs``: by its cached factor, or by
-    CG preconditioned with :func:`_poisson_inverse`."""
-    if solver == "direct":
-        return _factor(assembly.stiffness_matrix, j).solve(rhs)
-    if solver == "cg":
-        x, report = linalg.cg_solve(_stiffness(j), rhs, partial(_poisson_inverse, j), tol)
-        if not report.converged:
-            raise RuntimeError(
-                f"cg did not reach tol {tol:.3g}: relative residual "
-                f"{report.relative_residual:.3g} after {report.iterations} iterations"
-            )
-        return x
-    raise ValueError(f"solver must be 'direct' or 'cg', got {solver!r}")
+def _solve(j: int, rhs: np.ndarray, tol: float) -> np.ndarray:
+    """Solve ``stiffness_matrix(j) x = rhs`` by CG preconditioned with
+    :func:`_poisson_inverse`; RuntimeError unless the true relative
+    residual meets ``tol``."""
+    x, report = linalg.cg_solve(_stiffness(j), rhs, partial(_poisson_inverse, j), tol)
+    if not report.converged:
+        raise RuntimeError(
+            f"cg did not reach tol {tol:.3g}: relative residual "
+            f"{report.relative_residual:.3g} after {report.iterations} iterations"
+        )
+    return x
 
 
 def fem_solve(j: int, g, solver: str = "direct", tol: float = 1e-10) -> np.ndarray:
     """Galerkin coefficients of the level-``j`` approximation to -lap(u) = g.
 
     Returns the nodal values at the interior vertices (the hat basis is
-    nodal).  ``solver`` picks Cholesky (cached per level) or conjugate
-    gradients with relative tolerance ``tol``, preconditioned with the
-    sine-transform inverse of the stiffness matrix, which factors nothing.
-    This is the ladder with no detail levels, loaded with the ``mid3`` rule:
-    ``multilevel_solve(j, g, rule, base_level=j)`` takes another rule.
+    nodal).  Either ``solver`` solves by conjugate gradients preconditioned
+    with the exact sine-transform inverse of the stiffness matrix, which
+    factors nothing, and raises RuntimeError unless the true relative
+    residual meets ``tol``.  This is the ladder with no detail levels,
+    loaded with the ``mid3`` rule: ``multilevel_solve(j, g, rule,
+    base_level=j)`` takes another rule.
     """
     return multilevel_solve(j, g, base_level=j, solver=solver, tol=tol).coarse
 
@@ -164,7 +165,10 @@ def multilevel_from_load(
     the nodal ``W_j`` component of :class:`MultilevelSolution`: on the
     direct ladder from the factored detail Gram, on the CG ladder from the
     correction ``w`` with ``A_{j+1} (R_j^T u_j + w) = f_{j+1}`` to ``tol``.
+    Either ladder solves its coarse system to ``tol`` by :func:`_solve`.
     """
+    if solver not in ("direct", "cg"):
+        raise ValueError(f"solver must be 'direct' or 'cg', got {solver!r}")
     if not (1 <= base_level <= top_level):
         raise ValueError(f"need 1 <= base level <= top level, got {base_level}..{top_level}")
     fine_load = np.asarray(fine_load, dtype=float)
@@ -179,16 +183,16 @@ def multilevel_from_load(
     loads = {top_level: fine_load}
     for j in range(top_level - 1, base_level - 1, -1):
         loads[j] = assembly.refinement_matrix(j) @ loads[j + 1]
-    coarse = _solve(base_level, loads[base_level], solver, tol)
+    coarse = _solve(base_level, loads[base_level], tol)
     details = []
     u = coarse
     for j in range(base_level, top_level):
         if solver == "direct":
             q = prewavelet.wavelet_matrix(j)
-            w = q.T @ _factor(prewavelet.wavelet_gram, j).solve(q @ loads[j + 1])
+            w = q.T @ _gram_factor(j).solve(q @ loads[j + 1])
         else:
             pu = _prolongation(j) @ u
-            w = _solve(j + 1, loads[j + 1] - _stiffness(j + 1).csr @ pu, solver, tol)
+            w = _solve(j + 1, loads[j + 1] - _stiffness(j + 1).csr @ pu, tol)
             u = pu + w
         details.append(w)
     return MultilevelSolution(base_level, coarse, tuple(details))

@@ -166,6 +166,23 @@ def test_solve_rejects_non_finite_tabulated_rhs(tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_solve_rejects_a_tabulated_grid_above_the_level_cap(tmp_path, monkeypatch, capsys):
+    # a 17 x 17 grid is level 4: under a cap of 3 it is refused before any
+    # load is built, as --level 4 would be; at the cap it solves
+    monkeypatch.setenv("PREWAVELET_MAX_LEVEL", "3")
+    values = [[1.0] * 17 for _ in range(17)]
+    code, out = _solve_file(tmp_path, {"name": "fine", "rhs": {"values": values}})
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "grid level 4" in err
+    assert "Traceback" not in err
+    monkeypatch.setenv("PREWAVELET_MAX_LEVEL", "4")
+    code, out = _solve_file(tmp_path, {"name": "fine", "rhs": {"values": values}})
+    assert code == 0
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize(
     "values",
     (

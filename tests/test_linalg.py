@@ -1,6 +1,5 @@
 """Linear solver tests against a hand-rolled elimination oracle."""
 
-import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -97,63 +96,6 @@ def test_singular_semidefinite_matrix_raises():
     a = sp.diags([off, main, off], (-1, 0, 1), format="csr")
     with pytest.raises(linalg.NotPositiveDefiniteError):
         linalg.CholeskyFactor(a)
-
-
-def _neumann_laplacian(n: int) -> sp.csr_matrix:
-    # 1D Neumann Laplacian: positive semidefinite, constants in the kernel
-    main = 2.0 * np.ones(n)
-    main[[0, -1]] = 1.0
-    off = -1.0 * np.ones(n - 1)
-    return sp.diags([off, main, off], (-1, 0, 1), format="csr")
-
-
-def test_dominance_certifies_stiffness_but_not_detail_gram():
-    for j in range(1, 10):
-        assert linalg._diagonally_dominant(assembly.stiffness_matrix(j)), j
-    for j in range(1, 7):
-        assert not linalg._diagonally_dominant(prewavelet.wavelet_gram(j)), j
-
-
-def test_each_component_needs_a_strict_row():
-    # the strictly dominant block holds strict rows, the Neumann block none: only
-    # a strict row per connected component rules out the Neumann kernel
-    strict = sp.diags([-1.0, 3.0, -1.0], (-1, 0, 1), shape=(5, 5))
-    a = sp.block_diag((strict, _neumann_laplacian(6)), format="csr")
-    assert not linalg._diagonally_dominant(a)
-    with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.CholeskyFactor(a)
-    # a stored zero that joins the two blocks couples nothing
-    c = a.tocoo()
-    joined = sp.csr_matrix(
-        (np.r_[c.data, 0.0, 0.0], (np.r_[c.row, 4, 5], np.r_[c.col, 5, 4])), shape=a.shape
-    )
-    assert joined.nnz == a.nnz + 2
-    assert not linalg._diagonally_dominant(joined)
-
-
-@pytest.mark.parametrize("d", [0.0, -1.0])
-def test_non_positive_diagonal_entry_is_not_certified(d):
-    # dominant apart from one diagonal entry that is zero (no stored entry) or negative
-    a = sp.block_diag((assembly.stiffness_matrix(2), sp.csr_matrix([[d]])), format="csr")
-    assert not linalg._diagonally_dominant(a)
-    with pytest.raises(linalg.NotPositiveDefiniteError):
-        linalg.CholeskyFactor(a)
-
-
-def test_certified_factor_keeps_no_copy_of_its_factors():
-    # SuperLU's U attribute converts the whole factor to CSC L and U arrays and
-    # keeps both on the object (about 41 MB at level 8); a certified matrix never
-    # reads it
-    a = assembly.stiffness_matrix(8)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        factor = linalg.CholeskyFactor(a)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert factor.n == a.shape[0]
-    assert held < 1e6, held
 
 
 def test_factor_solves_detail_gram():

@@ -309,7 +309,8 @@ def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
     # CG runs on stiffness matrices only: the solve at level 1, then one
     # detail correction at each of levels 2, 3, 4.  Each is preconditioned by
     # the exact inverse of its own level's stiffness matrix; the direct
-    # ladder calls no CG
+    # ladder calls CG once, for its level-1 solve, and finds its details
+    # from the factored detail Grams
     calls = _recording_cg(monkeypatch)
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g, solver="cg", tol=1e-8)
     assert [n for n, _, _ in calls] == [mesh.n_interior(j) for j in (1, 2, 3, 4)]
@@ -319,7 +320,11 @@ def test_cg_ladder_gives_the_coarse_space_to_detail_solves_only(monkeypatch):
     assert calls[0][2].iterations == 1
     calls.clear()
     solver.multilevel_solve(4, bench.builtin_problems()["sine"].g)
-    assert calls == []
+    ((n, precondition, report),) = calls
+    assert n == mesh.n_interior(1)
+    assert precondition.func is solver._poisson_inverse
+    assert precondition.args == (1,)
+    assert report.iterations == 1 and report.converged
 
 
 def test_cg_ladder_iterations_are_flat_in_the_level(monkeypatch):
@@ -383,6 +388,34 @@ def test_cg_ladder_rungs_take_one_iteration(source, monkeypatch):
     assert [report.iterations for _, _, report in calls] == [1] * 9
 
 
+@pytest.mark.parametrize("j", range(1, 10))
+def test_direct_fem_matches_the_stiffness_factor(j, monkeypatch):
+    # the direct FEM solve is CG with the transform inverse, not a factor:
+    # one iteration lands on the factored solution to 1e-12 relative (about
+    # 2.5e-13 at level 9)
+    factor = linalg.CholeskyFactor(assembly.stiffness_matrix(j))
+    calls = _recording_cg(monkeypatch)
+    for name, g in _sources().items():
+        calls.clear()
+        got = solver.fem_solve(j, g)
+        want = factor.solve(quadrature.load_vector(j, g))
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+        assert [report.iterations for _, _, report in calls] == [1], name
+
+
+def test_benchmark_fem_load_converges_at_its_tolerance(monkeypatch):
+    # fem_direct_l9's first load (level 9, default_rng([1, 0]) samples) at
+    # the benchmark's tol 1e-12: one iteration reaches about 5.2e-14, where
+    # the smooth sine load stops near 9e-13 after two
+    values = np.random.default_rng([1, 0]).uniform(-1.0, 1.0, (2**9 + 1, 2**9 + 1))
+    calls = _recording_cg(monkeypatch)
+    solver.fem_solve(9, quadrature.TabulatedFunction(values), tol=1e-12)
+    ((_, _, report),) = calls
+    assert report.converged
+    assert report.iterations == 1
+    assert report.relative_residual <= 1e-13
+
+
 def test_v_cycle_is_symmetric_positive_definite():
     # CG needs an SPD preconditioner: the dense operator of the transform
     # inverse at level 4
@@ -431,8 +464,10 @@ def test_cg_ladder_checks_each_stiffness_matrix_once(monkeypatch):
 
 
 def test_cg_ladder_and_cg_fem_build_no_factor(monkeypatch):
-    # every CG solve is preconditioned by the transform inverse, so from cold
-    # caches neither CG path constructs a CholeskyFactor; the direct solve does
+    # every stiffness system is solved by CG with the transform inverse, so
+    # from cold caches no path constructs a CholeskyFactor of a stiffness
+    # matrix: the CG ladder and either FEM solve factor nothing, and the
+    # direct ladder to level 5 factors only the detail Grams j = 1..4
     oracle.clear_caches()
     built = []
     init = linalg.CholeskyFactor.__init__
@@ -445,9 +480,11 @@ def test_cg_ladder_and_cg_fem_build_no_factor(monkeypatch):
     g = bench.builtin_problems()["sine"].g
     solver.multilevel_solve(5, g, solver="cg")
     solver.fem_solve(5, g, solver="cg")
-    assert built == []
     solver.fem_solve(5, g)
-    assert built == [(mesh.n_interior(5),) * 2]
+    assert built == []
+    solver.multilevel_solve(5, g)
+    details = [mesh.n_interior(j + 1) - mesh.n_interior(j) for j in (1, 2, 3, 4)]
+    assert built == [(n, n) for n in details]
 
 
 def test_export_solution_csv():
