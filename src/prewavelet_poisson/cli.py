@@ -251,9 +251,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     problems = [_builtin(t.strip()) for t in args.problems.split(",")]
     tolerances = (None,)
     if args.solver == "cg":
-        tolerances = tuple(
-            _check_tol(t) for t in _parse_list("--tolerances", args.tolerances, float)
-        )
+        raw = "1e-8" if args.tolerances is None else args.tolerances
+        tolerances = tuple(_check_tol(t) for t in _parse_list("--tolerances", raw, float))
+    elif args.tolerances is not None:
+        raise _ConfigError(f"--tolerances needs --solver cg, got --solver {args.solver}")
     records = bench.run_benchmark(
         problems, levels, tolerances=tolerances, rule=quadrature.RULES[args.quad]
     )
@@ -317,7 +318,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--problems", default="sine,poly,exp", help="comma-separated names")
     p_bench.add_argument("--solver", choices=("direct", "cg"), default="direct")
     p_bench.add_argument(
-        "--tolerances", default="1e-8", help="comma-separated cg tolerances (cg only)"
+        "--tolerances",
+        default=None,
+        help="comma-separated cg tolerances (needs --solver cg; default 1e-8)",
     )
     p_bench.add_argument("--quad", choices=tuple(quadrature.RULES), default="mid3")
     p_bench.add_argument("--out", default=None, help="output CSV path (default: stdout)")

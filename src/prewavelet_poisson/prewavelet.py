@@ -15,10 +15,11 @@ level-independent table of five rows at the top-left corner and their images
 at the bottom-right corner, and last one global row supported along the
 whole top fine row.  Every coefficient is dyadic, so orthogonality to the
 coarse level is exact.
-The basis is held in one form, the rows of :func:`wavelet_matrix`;
-:func:`strip_wavelets` also hands the strip rows out as stencils.  Only the
-direct ladder solves in this basis; the CG ladder finds the same detail
-components in nodal coordinates.
+The basis is built and held in one form, the rows of :func:`wavelet_matrix`:
+every group of rows, strip rows included, comes from its table as index and
+value arrays.  :func:`strip_wavelets` reads the strip rows back off that
+matrix as stencils.  Only the direct ladder solves in this basis; the CG
+ladder finds the same detail components in nodal coordinates.
 """
 
 from __future__ import annotations
@@ -29,13 +30,14 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import assembly, mesh
+from . import assembly
 
 
 @dataclass(frozen=True)
 class WaveletSpec:
     """One boundary-strip basis function, expanded in fine-level hats:
-    stencil maps fine ``(i, k)`` pairs to coefficients."""
+    stencil maps fine ``(i, k)`` pairs to coefficients (a view of one row
+    of :func:`wavelet_matrix`)."""
 
     stencil: dict[tuple[int, int], float]
 
@@ -50,10 +52,6 @@ _FAMILY_STENCILS = {
     4: ((-1, -1, 1.0), (0, -1, 1.0), (-1, 0, 1.0), (0, 0, -1.0)),
     5: ((-1, 0, 1.0), (0, 1, 1.0), (0, -1, -1.0), (1, 0, -1.0)),
 }
-
-
-def _family_stencil(family: int, i: int, k: int) -> dict[tuple[int, int], float]:
-    return {(2 * i + di, 2 * k + dk): v for di, dk, v in _FAMILY_STENCILS[family]}
 
 
 def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -86,80 +84,79 @@ _CORNER_STENCILS = (
 )
 
 
-def strip_wavelets(j: int) -> list[WaveletSpec]:
-    """Boundary-strip completion of the closed-form families, in closed form.
-
-    The mesh and ``V_j`` are invariant under ``(x, y) -> (1-x, 1-y)``, which
-    maps fine ``(i, k)`` to ``(n+1-i, n+1-k)``.  The strip rows are, in
-    order:
-
-    * the 180-degree images of the closed-form rows that touch fine index 1
-      or 2 (families 1-2, families 3-5 at ``i == 1`` or ``k == 1``);
-    * the five :data:`_CORNER_STENCILS` rows at the top-left corner, then
-      their images at the bottom-right corner;
-    * last, the one global row: 1 at ``(i, n)`` for even ``4 <= i < n``,
-      -1/2 at ``(n, n)`` and 1 at its seed ``(1, n-1)``.
-
-    At ``j == 1`` both corner patches are the whole 3x3 grid; only the
-    images of corner rows 3 and 4 are independent of the rest there.
-    Every entry is dyadic, so each row is exactly orthogonal to ``V_j``.
-    Returns ``2^{j+3} - 8`` functions.
-    """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
-    n = 2 ** (j + 1) - 1
-
-    def mirrored(stencil: dict[tuple[int, int], float]) -> dict[tuple[int, int], float]:
-        return {(n + 1 - i, n + 1 - k): v for (i, k), v in stencil.items()}
-
-    stencils = []
-    for family, ii, kk in _family_positions(j):
-        touch = np.minimum(ii, kk) <= 1
-        stencils += [
-            mirrored(_family_stencil(family, i, k))
-            for i, k in zip(ii[touch].tolist(), kk[touch].tolist())
-        ]
-    corners = [{(i, n + dk): v for i, dk, v in rows} for rows in _CORNER_STENCILS]
-    stencils += corners
-    stencils += [mirrored(c) for c in (corners if j > 1 else corners[2:4])]
-    glob = {(i, n): 1.0 for i in range(4, n, 2)}
-    glob[(n, n)] = -0.5
-    glob[(1, n - 1)] = 1.0
-    stencils.append(glob)
-    return [WaveletSpec(s) for s in stencils]
+def _place(
+    j: int, stencil: tuple[tuple[int, int, float], ...], i: np.ndarray | int, k: np.ndarray | int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fine ordinals and values of ``stencil``, a tuple of ``(di, dk, value)``
+    offsets, placed at the fine positions ``(i, k)``: one row per position."""
+    di, dk, v = (np.array(c) for c in zip(*stencil))
+    cols = _fine_linear(j, np.reshape(i, (-1, 1)) + di, np.reshape(k, (-1, 1)) + dk)
+    return cols, np.broadcast_to(v, cols.shape)
 
 
 @lru_cache(maxsize=None)
 def wavelet_matrix(j: int) -> sp.csr_matrix:
     """Stencil matrix of the detail basis, one wavelet per row.
 
-    Shape is ``(N_{j+1} - N_j, N_{j+1})`` with rows ordered family 1,
-    family 2, families 3-5 row-major, then the strip rows of
-    :func:`strip_wavelets`.  The closed-form rows come straight from the
-    family offset table, one array per stencil entry; only the
-    ``O(2^j)`` strip rows pass through :class:`WaveletSpec` stencils.
+    Shape is ``(N_{j+1} - N_j, N_{j+1})``.  The mesh and ``V_j`` are
+    invariant under ``(x, y) -> (1-x, 1-y)``, which maps fine ``(i, k)`` to
+    ``(n+1-i, n+1-k)`` (``n = 2^{j+1} - 1``) and so reverses the row-major
+    fine ordinal, ``p -> n^2 - 1 - p``.  The rows are, in order:
+
+    * family 1, family 2, families 3-5 row-major, at
+      :func:`_family_positions`;
+    * the boundary strip: the 180-degree images of the closed-form rows
+      that touch fine index 1 or 2 (``min(i, k) <= 1``), the five
+      :data:`_CORNER_STENCILS` rows at the top-left corner, then their
+      images at the bottom-right corner;
+    * last, the one global row: 1 at ``(i, n)`` for even ``4 <= i < n``,
+      -1/2 at ``(n, n)`` and 1 at its seed ``(1, n-1)``.
+
+    At ``j == 1`` there are no closed-form rows, and both corner patches are
+    the whole 3x3 grid; only the images of corner rows 3 and 4 are
+    independent of the rest there.  Every group is built as index and value
+    arrays straight from its table; every entry is dyadic, so each row is
+    exactly orthogonal to ``V_j``.
     """
-    rows, cols, vals = [], [], []
-    start = 0
+    if j < 1:
+        raise ValueError(f"level must be >= 1, got {j}")
+    n = 2 ** (j + 1) - 1
+    closed, images = [], []
     for family, i, k in _family_positions(j):
-        ordinal = start + np.arange(len(i))
-        for di, dk, v in _FAMILY_STENCILS[family]:
-            rows.append(ordinal)
-            cols.append(_fine_linear(j, 2 * i + di, 2 * k + dk))
-            vals.append(np.full(len(i), v))
-        start += len(i)
-    strips = strip_wavelets(j)
-    for r, w in enumerate(strips, start):
-        pairs = np.array(list(w.stencil), dtype=np.int64)
-        rows.append(np.full(len(pairs), r))
-        cols.append(_fine_linear(j, pairs[:, 0], pairs[:, 1]))
-        vals.append(np.fromiter(w.stencil.values(), dtype=float, count=len(pairs)))
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(start + len(strips), mesh.n_interior(j + 1)),
-    ).tocsr()
+        cols, vals = _place(j, _FAMILY_STENCILS[family], 2 * i, 2 * k)
+        closed.append((cols, vals))
+        edge = np.minimum(i, k) <= 1
+        images.append((n * n - 1 - cols[edge], vals[edge]))
+    corners = [_place(j, rows, 0, n) for rows in _CORNER_STENCILS]
+    mirrored = [(n * n - 1 - cols, vals) for cols, vals in (corners if j > 1 else corners[2:4])]
+    top = ((1, -1, 1.0), *((i, 0, 1.0) for i in range(4, n, 2)), (n, 0, -0.5))
+    blocks = closed + images + corners + mirrored + [_place(j, top, 0, n)]
+    counts = np.repeat([c.shape[1] for c, _ in blocks], [len(c) for c, _ in blocks])
+    mat = sp.csr_matrix(
+        (
+            np.concatenate([v.ravel() for _, v in blocks]),
+            np.concatenate([c.ravel() for c, _ in blocks]),
+            np.concatenate(([0], np.cumsum(counts))),
+        ),
+        shape=(len(counts), n * n),
+    )
     mat.sort_indices()
     return mat
+
+
+def strip_wavelets(j: int) -> list[WaveletSpec]:
+    """The boundary-strip rows of :func:`wavelet_matrix` as stencils.
+
+    These are its last ``2^{j+3} - 8`` rows, in order: the 180-degree
+    images, the corner rows and their images, and last the global row.
+    """
+    strip = wavelet_matrix(j)[-(2 ** (j + 3) - 8) :]
+    n = 2 ** (j + 1) - 1
+    cuts = strip.indptr[1:-1]
+    return [
+        WaveletSpec({(p % n + 1, p // n + 1): v for p, v in zip(cols.tolist(), vals.tolist())})
+        for cols, vals in zip(np.split(strip.indices, cuts), np.split(strip.data, cuts))
+    ]
 
 
 def wavelet_gram(j: int) -> sp.csr_matrix:

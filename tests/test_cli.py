@@ -374,6 +374,24 @@ def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("solver", (None, "direct"))
+def test_bench_refuses_tolerances_without_cg(solver, capsys):
+    # a direct row has no tolerance to set, so the flag is refused, not ignored
+    flags = ["bench", "--levels", "3", "--problems", "sine", "--tolerances", "1e-6"]
+    if solver is not None:
+        flags += ["--solver", solver]
+    assert cli.main(flags) == 2
+    captured = capsys.readouterr()
+    assert "--tolerances needs --solver cg" in captured.err
+    assert captured.out == ""
+
+
+def test_bench_cg_tolerance_defaults_to_1e_8(capsys):
+    assert cli.main(["bench", "--levels", "2", "--problems", "sine", "--solver", "cg"]) == 0
+    (record,) = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert (record["solver"], float(record["tolerance"])) == ("cg", 1e-8)
+
+
 def test_bench_records_a_failed_solve_and_exits_three(tmp_path, capsys):
     # no residual meets a tolerance of 1e-300, so CG stalls; the combination
     # is recorded with NaN fields instead of ending the sweep

@@ -270,16 +270,14 @@ def test_two_level_cg_matches_cholesky_on_detail_gram():
     assert report.relative_residual == pytest.approx(true_rel, rel=1e-6, abs=1e-15)
 
 
-@pytest.mark.parametrize(("j", "bound"), ((4, 60), (5, 80), (6, 115)))
-def test_two_level_cg_detail_iterations(j, bound):
-    # the bounds of the detail-Gram CG with its aggregate coarse space (about
-    # 50, 71, 104; Jacobi alone 188, 363, 735); the nodal detail solve with
-    # the exact inverse takes 1 at each of these levels
+@pytest.mark.parametrize("j", (4, 5, 6))
+def test_two_level_cg_detail_iterations(j):
+    # the nodal detail solve with the exact inverse takes 1 iteration at each
+    # of these levels
     g = bench.builtin_problems()["sine"].g
     a, r, precondition = _rung(j, quadrature.load_vector(j + 1, g))
     _, report = linalg.cg_solve(linalg.SymmetricMatrix(a), r, precondition, tol=1e-10)
     assert report.converged
-    assert report.iterations <= bound
     assert report.iterations <= 2
 
 

@@ -355,12 +355,23 @@ _WAVELET_MATRIX_SHA256 = {
     3: "edda63ef2267abf3725b46433aa03a75136b68e25dc0c6314eb6f1f9dbcc9b17",
     4: "a5dfdf0ce285f9ccd2606075b15d2b2538c8b821cf0de35715a6c91585c71266",
     5: "7ece37a08d74668b6fd81be1e4ffc4d8ac8e674577b28ba3cd3bece705a69651",
+    6: "52fdb616e2f6ede8fc4f6dfe602986c810ecebd020f94759e2c0c175dcb1d94e",
+    7: "1266c1073000e799788fc33428d38ee4c0bbee93747d05c605eaa9c142e6767b",
 }
 
 
 @pytest.mark.parametrize("j", sorted(_WAVELET_MATRIX_SHA256))
 def test_wavelet_matrix_bits_frozen(j):
     assert _digest(prewavelet.wavelet_matrix(j)) == _WAVELET_MATRIX_SHA256[j]
+
+
+@pytest.mark.parametrize("j", (0, -1))
+def test_wavelet_matrix_rejects_a_level_below_one(j):
+    # level 0 has no detail space to build: refused before any row is made
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        prewavelet.wavelet_matrix(j)
+    with pytest.raises(ValueError, match="level must be >= 1"):
+        prewavelet.strip_wavelets(j)
 
 
 @pytest.mark.parametrize("j", (1, 2, 3, 4))

@@ -416,7 +416,23 @@ def test_benchmark_fem_load_converges_at_its_tolerance(monkeypatch):
     assert report.relative_residual <= 1e-13
 
 
-def test_v_cycle_is_symmetric_positive_definite():
+#: The attainable relative residual of the single-level sine solve per
+#: level: rounding in one transform solve, which CG cannot push below.
+_SINE_FLOORS = {5: 4.3e-15, 6: 1.5e-14, 7: 6.1e-14, 8: 2.2e-13, 9: 9.0e-13}
+
+
+@pytest.mark.parametrize("j", sorted(_SINE_FLOORS))
+def test_cg_floor_of_the_sine_solve(j):
+    # a decade above its level's floor the solve converges; a decade below
+    # it must raise, never hand back a solution that misses tol
+    g = bench.builtin_problems()["sine"].g
+    floor = _SINE_FLOORS[j]
+    solver.fem_solve(j, g, tol=10.0 * floor)
+    with pytest.raises(RuntimeError, match="cg did not reach tol"):
+        solver.fem_solve(j, g, tol=floor / 10.0)
+
+
+def test_poisson_inverse_is_symmetric_positive_definite():
     # CG needs an SPD preconditioner: the dense operator of the transform
     # inverse at level 4
     n = mesh.n_interior(4)
