@@ -1,12 +1,12 @@
 """Built-in test problems and the accuracy table.
 
-Per problem, tolerance (None for the direct ladder) and level, the load is
-assembled once and the prewavelet ladder is solved on it from level 1.  The
-table records the H1 and L2 errors of the prolonged ladder (degree-5 rule),
-their observed rates against the previous level of the run, and
-``ladder_vs_fem``: the max-norm relative difference from single-level FEM
-(``fem_solve``) on the same load.  A failed solve is recorded with NaN
-fields rather than aborting the sweep.
+Per problem and level, the load is assembled once and the prewavelet ladder
+(direct or CG) is solved on it from level 1, every stiffness system to the
+library's default tolerance.  The table records the H1 and L2 errors of the
+prolonged ladder (degree-5 rule), their observed rates against the previous
+level of the run, and ``ladder_vs_fem``: the max-norm relative difference
+from single-level FEM (``fem_solve``) on the same load.  A failed solve is
+recorded with NaN fields rather than aborting the sweep.
 Speed is measured by ``perfbench``, not here.
 """
 
@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import linalg, mesh, quadrature, solver
+from . import mesh, quadrature, solver
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,7 @@ def builtin_problems() -> dict[str, TestProblem]:
 
 @dataclass
 class BenchRecord:
-    """One row of the accuracy table; tolerance is None for direct solves.
+    """One row of the accuracy table of the ``solver`` ladder.
 
     The rates are ``log2(e_prev / e) / (level - prev_level)`` against the
     previous level of the run, NaN on its first level.
@@ -98,7 +98,6 @@ class BenchRecord:
     problem: str
     solver: str
     level: int
-    tolerance: float | None
     unknowns: int
     h1_error: float
     l2_error: float
@@ -111,8 +110,7 @@ def write_csv(records: list[BenchRecord], f) -> None:
     """Write records to the text stream ``f`` as CSV.
 
     The header is the :class:`BenchRecord` field names; floats are written
-    via repr (so ``float`` reads them back exactly) and a None tolerance as
-    an empty field.
+    via repr, so ``float`` reads them back exactly.
     """
     writer = csv.writer(f)
     writer.writerow(fd.name for fd in fields(BenchRecord))
@@ -127,18 +125,14 @@ def relative_difference(x: np.ndarray, ref: np.ndarray) -> float:
     return diff / scale if scale else diff
 
 
-def _accuracy(problem, level, solver_name, tol, rule):
+def _accuracy(problem, level, solver_name, rule):
     """``(h1_error, l2_error, ladder_vs_fem)`` of the ladder from level 1;
     all three NaN when a solve fails."""
     load = quadrature.load_vector(level, problem.g, rule)
-    # a direct row (tol None) solves its stiffness systems to the library's default tol
-    settings = {} if tol is None else {"tol": tol}
     try:
-        ladder = solver.multilevel_from_load(
-            level, load, solver=solver_name, **settings
-        ).prolong()
+        ladder = solver.multilevel_from_load(level, load, solver=solver_name).prolong()
         fem = solver.multilevel_from_load(level, load, base_level=level).coarse
-    except (linalg.NotPositiveDefiniteError, RuntimeError):
+    except RuntimeError:
         return (math.nan,) * 3
     return (
         solver.h1_error(level, ladder, problem.du_dx, problem.du_dy),
@@ -150,15 +144,12 @@ def _accuracy(problem, level, solver_name, tol, rule):
 def run_benchmark(
     problems: list[TestProblem],
     levels: tuple[int, ...],
-    tolerances: tuple[float | None, ...] = (None,),
+    solver_name: str = "direct",
     rule: quadrature.TriangleRule = quadrature.MID3,
 ) -> list[BenchRecord]:
-    """The accuracy table: one record per problem, tolerance and level,
-    with levels ascending.
-
-    A tolerance is a solver setting: None runs the direct ladder (factored
-    detail Grams), a number the CG ladder to that tolerance.  The levels
-    must be distinct and at least 1.
+    """The accuracy table of the ``solver_name`` ladder ("direct": factored
+    detail Grams, "cg": CG corrections): one record per problem and level,
+    with levels ascending.  The levels must be distinct and at least 1.
     """
     levels = sorted(levels)
     if levels and levels[0] < 1:
@@ -167,17 +158,15 @@ def run_benchmark(
         raise ValueError(f"levels must be distinct, got {levels}")
     records = []
     for p in problems:
-        for t in tolerances:
-            s = "direct" if t is None else "cg"
-            prev = None
-            for level in levels:
-                h1, l2, agreement = _accuracy(p, level, s, t, rule)
-                rates = (math.nan, math.nan) if prev is None else (
-                    math.log2(prev.h1_error / h1) / (level - prev.level),
-                    math.log2(prev.l2_error / l2) / (level - prev.level),
-                )
-                prev = BenchRecord(
-                    p.name, s, level, t, mesh.n_interior(level), h1, l2, *rates, agreement
-                )
-                records.append(prev)
+        prev = None
+        for level in levels:
+            h1, l2, agreement = _accuracy(p, level, solver_name, rule)
+            rates = (math.nan, math.nan) if prev is None else (
+                math.log2(prev.h1_error / h1) / (level - prev.level),
+                math.log2(prev.l2_error / l2) / (level - prev.level),
+            )
+            prev = BenchRecord(
+                p.name, solver_name, level, mesh.n_interior(level), h1, l2, *rates, agreement
+            )
+            records.append(prev)
     return records

@@ -32,8 +32,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 
-class NotPositiveDefiniteError(Exception):
-    """Cholesky pivot failure: the matrix is not positive definite."""
+class NotPositiveDefiniteError(RuntimeError):
+    """Cholesky pivot failure: the matrix is not positive definite.
+
+    A numerical failure, like CG's ``RuntimeError``, so one ``except
+    RuntimeError`` catches both.
+    """
 
 
 @dataclass

@@ -239,10 +239,16 @@ def verify_identity(j: int) -> float:
 def _cell_vertices(j: int, coeffs: np.ndarray, rule: quadrature.TriangleRule):
     """Per orientation of :func:`quadrature._cell_points`: its vertex offsets,
     the nodal values at its three vertices in every cell (three
-    ``(2^j, 2^j)`` slices of the zero-bordered node array) and its points."""
+    ``(2^j, 2^j)`` slices of the zero-bordered node array) and its points.
+    ValueError, on the first step, unless ``coeffs`` holds the level's
+    ``(2^j - 1)^2`` interior values."""
+    n = mesh.n_interior(j)
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n,):
+        raise ValueError(f"expected {n} interior values for level {j}, got shape {coeffs.shape}")
     m = 2**j
     nodes = np.zeros((m + 1, m + 1))
-    nodes[1:-1, 1:-1] = np.asarray(coeffs, dtype=float).reshape(m - 1, m - 1)
+    nodes[1:-1, 1:-1] = coeffs.reshape(m - 1, m - 1)
     for offsets, points in quadrature._cell_points(j, rule):
         yield offsets, [nodes[oy : oy + m, ox : ox + m] for ox, oy in offsets], points
 

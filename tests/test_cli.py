@@ -347,7 +347,7 @@ def test_bench_stdout_and_file(tmp_path, capsys):
     # the same table either way, under the accuracy header
     assert text.splitlines() == stdout.splitlines()
     assert text.splitlines()[0] == (
-        "problem,solver,level,tolerance,unknowns,h1_error,l2_error,h1_rate,l2_rate,ladder_vs_fem"
+        "problem,solver,level,unknowns,h1_error,l2_error,h1_rate,l2_rate,ladder_vs_fem"
     )
     records = list(csv.DictReader(text.splitlines()))
     assert [int(r["level"]) for r in records] == [2, 3]
@@ -364,7 +364,6 @@ def test_bench_rejects_unknown_problem(capsys):
     [
         ["--levels", "3,2,3"],
         ["--levels", "2,x"],
-        ["--solver", "cg", "--tolerances", "1e-8,x"],
         ["--out", "{missing}/x.csv"],
     ],
 )
@@ -374,35 +373,29 @@ def test_bench_rejects_bad_flags(flags, tmp_path, capsys):
     assert "configuration error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("solver", (None, "direct"))
-def test_bench_refuses_tolerances_without_cg(solver, capsys):
-    # a direct row has no tolerance to set, so the flag is refused, not ignored
-    flags = ["bench", "--levels", "3", "--problems", "sine", "--tolerances", "1e-6"]
-    if solver is not None:
-        flags += ["--solver", solver]
-    assert cli.main(flags) == 2
-    captured = capsys.readouterr()
-    assert "--tolerances needs --solver cg" in captured.err
-    assert captured.out == ""
+def test_bench_has_no_tolerance_option(capsys):
+    # every row solves at the library's default tol, which the exact
+    # preconditioner makes no setting at all
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--levels", "2", "--problems", "sine", "--tolerances", "1e-8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerances" in capsys.readouterr().err
 
 
-def test_bench_cg_tolerance_defaults_to_1e_8(capsys):
-    assert cli.main(["bench", "--levels", "2", "--problems", "sine", "--solver", "cg"]) == 0
-    (record,) = list(csv.DictReader(capsys.readouterr().out.splitlines()))
-    assert (record["solver"], float(record["tolerance"])) == ("cg", 1e-8)
+def test_bench_records_a_failed_solve_and_exits_three(monkeypatch, tmp_path, capsys):
+    # a stiffness solve that fails is recorded with NaN fields instead of
+    # ending the sweep
+    def stalled(j, rhs, tol):
+        raise RuntimeError(f"cg did not reach tol {tol:.3g}")
 
-
-def test_bench_records_a_failed_solve_and_exits_three(tmp_path, capsys):
-    # no residual meets a tolerance of 1e-300, so CG stalls; the combination
-    # is recorded with NaN fields instead of ending the sweep
+    monkeypatch.setattr(solver, "_solve", stalled)
     out = tmp_path / "bench.csv"
     code = cli.main(["bench", "--levels", "3", "--problems", "sine", "--solver", "cg",
-                     "--tolerances", "1e-300", "--out", str(out)])
+                     "--out", str(out)])
     assert code == 3
     assert "some combinations failed" in capsys.readouterr().err
     with out.open(newline="") as f:
         (record,) = list(csv.DictReader(f))
     assert (record["solver"], record["level"]) == ("cg", "3")
-    assert float(record["tolerance"]) == 1e-300
     for field in ("h1_error", "l2_error", "h1_rate", "l2_rate", "ladder_vs_fem"):
         assert np.isnan(float(record[field]))

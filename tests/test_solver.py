@@ -388,6 +388,23 @@ def test_cg_ladder_rungs_take_one_iteration(source, monkeypatch):
     assert [report.iterations for _, _, report in calls] == [1] * 9
 
 
+@pytest.mark.parametrize("source", ("sine", "exp", "tabulated"))
+def test_cg_ladder_does_not_depend_on_the_tolerance(source, monkeypatch):
+    # every CG call takes one iteration with the exact inverse, and that
+    # iterate meets any tol from 1e-2 to 1e-10, so the answer is the same
+    # bits at each; an inexact preconditioner would make tol matter again
+    g = _sources()[source]
+    calls = _recording_cg(monkeypatch)
+    for j in range(3, 8):
+        first, *rest = (
+            solver.multilevel_solve(j, g, solver="cg", tol=tol).prolong()
+            for tol in (1e-2, 1e-6, 1e-10)
+        )
+        assert all(np.array_equal(first, x) for x in rest), j
+    assert len(calls) == 3 * sum(range(3, 8))
+    assert all(report.iterations == 1 for _, _, report in calls)
+
+
 @pytest.mark.parametrize("j", range(1, 10))
 def test_direct_fem_matches_the_stiffness_factor(j, monkeypatch):
     # the direct FEM solve is CG with the transform inverse, not a factor:
@@ -545,6 +562,10 @@ def test_fem_solve_rejects_non_finite_load(method):
             solver.multilevel_solve(3, g, solver=method)
 
 
+def _zero(x, y):
+    return 0.0 * x
+
+
 @pytest.mark.parametrize(
     "call, message",
     (
@@ -556,10 +577,15 @@ def test_fem_solve_rejects_non_finite_load(method):
         (lambda: solver.multilevel_from_load(2, np.ones(9)).prolong(3), "level"),
         (lambda: solver.export_solution_csv(io.StringIO(), 2, np.ones(8)), "9 values"),
         (lambda: reconstruct(2, np.ones(8), lambda x, y: x), "9 interior"),
+        (lambda: solver.h1_error(3, np.zeros(10), _zero, _zero), "49 interior values for level 3"),
+        (lambda: solver.l2_error(3, np.zeros(10), _zero), "49 interior values for level 3"),
+        (lambda: solver.h1_error(0, np.zeros(10), _zero, _zero), "level must be >= 1"),
+        (lambda: solver.l2_error(0, np.zeros(10), _zero), "level must be >= 1"),
     ),
     ids=(
         "base-above-top", "base-zero", "load-length", "load-non-finite",
         "prolong-below-base", "prolong-above-top", "export-length", "reconstruct-length",
+        "h1-length", "l2-length", "h1-level-zero", "l2-level-zero",
     ),
 )
 def test_input_checks_raise_value_error(call, message):
