@@ -364,6 +364,7 @@ def test_bench_rejects_unknown_problem(capsys):
     [
         ["--levels", "3,2,3"],
         ["--levels", "2,x"],
+        ["--levels", "2,0"],
         ["--out", "{missing}/x.csv"],
     ],
 )
