@@ -1,7 +1,8 @@
 """Refinement and Galerkin matrices for the nested hat-function spaces.
 
-Rows and columns number the interior vertices ``(i, k)`` of a level row by
-row, ``i`` fastest: ``(i, k)`` has ordinal ``(k - 1)(2^j - 1) + (i - 1)``.
+Rows and columns number the interior vertices ``(i, k)`` of a level by
+``mesh.ordinal``, row by row with ``i`` fastest.  Every matrix here refuses a
+level below 1 through ``mesh.n_interior``.
 Inner products are the H1 seminorm (integral of grad.grad).  Every entry is
 a multiple of 1/2, so the floating-point values are exact and the
 identities between these matrices hold exactly, not just to rounding.
@@ -46,25 +47,24 @@ def _stencil_matrix(j_row: int, j_col: int, stencil: dict[tuple[int, int], float
     offsets sorted by ``(dk, di)`` the columns of every row ascend, so each
     row takes its in-range offsets in that order.
     """
-    n_r = 2**j_row - 1
-    n_c = 2**j_col - 1
-    idx = np.int32 if n_c * n_c <= np.iinfo(np.int32).max else np.int64
-    line = 2 ** (j_col - j_row) * np.arange(1, n_r + 1)  # row vertices on the column grid
+    n_rows, n_cols = mesh.n_interior(j_row), mesh.n_interior(j_col)
+    idx = np.int32 if n_cols <= np.iinfo(np.int32).max else np.int64
+    line = 2 ** (j_col - j_row) * np.arange(1, 2**j_row)  # row vertices on the column grid
     offsets = sorted(stencil, key=lambda o: (o[1], o[0]))
     # axis 0 is k, axis 1 is i, axis 2 the offset: rows in ordinal order
-    cols = np.empty((n_r, n_r, len(offsets)), dtype=idx)
+    cols = np.empty((len(line), len(line), len(offsets)), dtype=idx)
     keep = np.empty(cols.shape, dtype=bool)
     for m, (di, dk) in enumerate(offsets):
         fi = line + di
         fk = line + dk
-        keep[:, :, m] = ((fk >= 1) & (fk <= n_c))[:, None] & ((fi >= 1) & (fi <= n_c))
-        cols[:, :, m] = ((fk - 1) * n_c)[:, None] + (fi - 1)
-    keep = keep.reshape(n_r * n_r, len(offsets))
-    indptr = np.zeros(n_r * n_r + 1, dtype=idx)
+        keep[:, :, m] = ((fk >= 1) & (fk < 2**j_col))[:, None] & ((fi >= 1) & (fi < 2**j_col))
+        cols[:, :, m] = mesh.ordinal(j_col, fi, fk[:, None])
+    keep = keep.reshape(n_rows, len(offsets))
+    indptr = np.zeros(n_rows + 1, dtype=idx)
     np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
     vals = np.broadcast_to(np.array([stencil[o] for o in offsets]), keep.shape)
     mat = sp.csr_matrix(
-        (vals[keep], cols.reshape(keep.shape)[keep], indptr), shape=(n_r * n_r, n_c * n_c)
+        (vals[keep], cols.reshape(keep.shape)[keep], indptr), shape=(n_rows, n_cols)
     )
     mat.has_canonical_format = True  # sorted, no duplicates
     return mat
@@ -73,8 +73,6 @@ def _stencil_matrix(j_row: int, j_col: int, stencil: dict[tuple[int, int], float
 @lru_cache(maxsize=None)
 def refinement_matrix(j: int) -> sp.csr_matrix:
     """Rows are level-``j`` hats expanded in the level ``j+1`` basis."""
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
     return _stencil_matrix(j, j + 1, {(di, dk): v for di, dk, v in mesh._REFINE_STENCIL})
 
 
@@ -86,8 +84,6 @@ def stiffness_matrix(j: int) -> sp.csr_matrix:
     on each call: the solver keeps the checked matrix that a later solve
     reads again.
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
     return _stencil_matrix(j, j, _STIFFNESS_STENCIL)
 
 
@@ -100,8 +96,6 @@ def cross_level_gram(j: int) -> sp.csr_matrix:
     the cell diagonals are not stored.  Rows of this matrix are the
     orthogonality constraints the detail space must satisfy.
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
     gram = (refinement_matrix(j) @ stiffness_matrix(j + 1)).tocsr()
     gram.eliminate_zeros()
     gram.sort_indices()

@@ -149,11 +149,10 @@ def run_benchmark(
 ) -> list[BenchRecord]:
     """The accuracy table of the ``solver_name`` ladder ("direct": factored
     detail Grams, "cg": CG corrections): one record per problem and level,
-    with levels ascending.  The levels must be distinct and at least 1.
+    with levels ascending.  The levels must be distinct and at least 1; the
+    lowest is solved first, so a level below 1 fails its load before any solve.
     """
     levels = sorted(levels)
-    if levels and levels[0] < 1:
-        raise ValueError(f"level must be >= 1, got {levels[0]}")
     if len(set(levels)) < len(levels):
         raise ValueError(f"levels must be distinct, got {levels}")
     records = []

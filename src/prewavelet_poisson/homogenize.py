@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import mesh
+
 Trace = Callable[[np.ndarray], np.ndarray]
 
 
@@ -125,15 +127,11 @@ def homogenize(problem: DirichletProblem):
 def reconstruct(j: int, w_values: np.ndarray, lift) -> np.ndarray:
     """Add the lift back onto zero-trace nodal values at the level-j vertices.
 
-    ``w_values`` is a vector over the interior vertices in row-major order;
-    the result is u = w + L at those same vertices.
+    ``w_values`` is a vector over the interior vertices in row-major order,
+    checked by :func:`mesh.nodal`; the result is u = w + L at those same
+    vertices.
     """
-    w_values = np.asarray(w_values, dtype=float)
-    n = 2**j - 1
-    if w_values.shape != (n * n,):
-        raise ValueError(
-            f"expected {n * n} interior values for level {j}, got shape {w_values.shape}"
-        )
-    coords = np.arange(1, n + 1) / 2**j
+    w_values = mesh.nodal(j, w_values)
+    coords = np.arange(1, 2**j) / 2**j
     x, y = np.meshgrid(coords, coords, indexing="xy")
     return w_values + np.asarray(lift(x.ravel(), y.ravel()), dtype=float)

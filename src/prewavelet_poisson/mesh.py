@@ -11,8 +11,14 @@ cuts each cell along its lower-left to upper-right diagonal::
 
 This yields ``2 * 4^j`` triangles.  The unknowns sit on the interior
 vertices ``(i/2^j, k/2^j)`` with ``1 <= i, k <= 2^j - 1``, numbered row by
-row: vertex ``(i, k)`` has ordinal ``(k - 1)(2^j - 1) + (i - 1)``.  The hat
-function of an interior vertex is supported on the six triangles around it.
+row: vertex ``(i, k)`` has :func:`ordinal` ``(k - 1)(2^j - 1) + (i - 1)``.
+The hat function of an interior vertex is supported on the six triangles
+around it.
+
+This module holds the level-``j`` grid contract for the whole package:
+:func:`n_interior` is the one level check, :func:`nodal` the one check that
+a vector holds a level's interior values, and :func:`ordinal` the one
+vertex numbering.
 
 The mesh is held as index arithmetic on this grid, never as objects.  Load
 vectors and error norms sweep the cells, one triangle orientation of
@@ -28,10 +34,27 @@ import numpy as np
 
 
 def n_interior(j: int) -> int:
-    """Number of interior vertices ``(2^j - 1)^2`` at level ``j``."""
+    """Number of interior vertices ``(2^j - 1)^2`` at level ``j``; ValueError
+    below level 1."""
     if j < 1:
         raise ValueError(f"level must be >= 1, got {j}")
     return (2**j - 1) ** 2
+
+
+def nodal(j: int, values) -> np.ndarray:
+    """``values`` as a float vector of the level-``j`` interior values, in
+    :func:`ordinal` order; ValueError for a level below 1 or another shape."""
+    n = n_interior(j)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"expected {n} interior values for level {j}, got shape {values.shape}")
+    return values
+
+
+def ordinal(j: int, i, k):
+    """Row-major ordinal ``(k - 1)(2^j - 1) + (i - 1)`` of the level-``j``
+    vertex ``(i, k)``; ``i`` and ``k`` may be broadcasting arrays."""
+    return (k - 1) * (2**j - 1) + (i - 1)
 
 
 #: Vertex offsets from the lower-left cell corner of the lower and the upper
@@ -60,8 +83,7 @@ def triangle_vertex_array(j: int) -> np.ndarray:
     this array is the per-triangle view for the tests and the benchmark
     tracer.
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
+    n_interior(j)  # the level check
     cy, cx = np.divmod(np.arange(4**j, dtype=np.int64), 2**j)
     corners = np.stack([cx, cy], axis=-1)  # (C, 2), cells row-major
     arr = (corners[:, None, None, :] + _CELL_OFFSETS).reshape(-1, 3, 2)

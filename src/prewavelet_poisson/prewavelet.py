@@ -30,7 +30,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.sparse as sp
 
-from . import assembly
+from . import assembly, mesh
 
 
 @dataclass(frozen=True)
@@ -64,11 +64,6 @@ def _family_positions(j: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
     return out + [(family, i + 1, k + 1) for family in (3, 4, 5)]
 
 
-def _fine_linear(j: int, i: np.ndarray | int, k: np.ndarray | int):
-    n = 2 ** (j + 1) - 1
-    return (np.asarray(k) - 1) * n + (np.asarray(i) - 1)
-
-
 #: The five top-left corner rows as ``(i, k - n, value)`` on the fine patch
 #: ``i <= 3, k >= n - 2`` (``n = 2^{j+1} - 1``), where the orthogonality
 #: constraints are the same 4x9 block at every level and which holds no
@@ -90,7 +85,7 @@ def _place(
     """Fine ordinals and values of ``stencil``, a tuple of ``(di, dk, value)``
     offsets, placed at the fine positions ``(i, k)``: one row per position."""
     di, dk, v = (np.array(c) for c in zip(*stencil))
-    cols = _fine_linear(j, np.reshape(i, (-1, 1)) + di, np.reshape(k, (-1, 1)) + dk)
+    cols = mesh.ordinal(j + 1, np.reshape(i, (-1, 1)) + di, np.reshape(k, (-1, 1)) + dk)
     return cols, np.broadcast_to(v, cols.shape)
 
 
@@ -118,8 +113,7 @@ def wavelet_matrix(j: int) -> sp.csr_matrix:
     arrays straight from its table; every entry is dyadic, so each row is
     exactly orthogonal to ``V_j``.
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
+    mesh.n_interior(j)  # the level check
     n = 2 ** (j + 1) - 1
     closed, images = [], []
     for family, i, k in _family_positions(j):
@@ -180,12 +174,14 @@ def dimension_check(j: int, n: int) -> tuple[int, int]:
     Counts the families restricted to positions below ``n``: families 1-2
     up to ``k <= n-1``, families 3-5 up to ``i, k <= n-1``.  The expected
     dimension is ``3n^2 - 4n + 1``; the actual value is the rank of the
-    corresponding rows of :func:`wavelet_matrix`.
+    corresponding rows of :func:`wavelet_matrix`, which refuses a level
+    below 1 before ``n`` is checked.
     """
+    basis = wavelet_matrix(j)
     if not (1 <= n <= 2**j - 1):
         raise ValueError(f"subgrid size must be in 1..{2**j - 1}, got {n}")
     expected = 3 * n * n - 4 * n + 1
     # the closed-form rows lead the matrix in _family_positions order
     within = np.concatenate([np.maximum(i, k) <= n - 1 for _, i, k in _family_positions(j)])
-    rows = wavelet_matrix(j)[np.flatnonzero(within)].toarray()
+    rows = basis[np.flatnonzero(within)].toarray()
     return expected, int(np.linalg.matrix_rank(rows)) if len(rows) else 0

@@ -193,8 +193,7 @@ def load_vector(j: int, g, rule: TriangleRule = MID3) -> np.ndarray:
     form one contribution grid per triangle vertex, which lands on the node
     array shifted by that vertex's offset.
     """
-    if j < 1:
-        raise ValueError(f"level must be >= 1, got {j}")
+    mesh.n_interior(j)  # the level check
     if isinstance(g, TabulatedFunction):
         return _mass_load(j, g)
     m = 2**j

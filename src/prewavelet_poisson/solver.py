@@ -14,7 +14,8 @@ exact inverse (:func:`_poisson_inverse`) solves it in one iteration, and
 CG still decides convergence on the true residual.  No stiffness matrix is
 factored.  The ladders differ only in how they find each detail.  The
 direct ladder is the paper's method in the prewavelet basis: it factors
-each detail Gram once per level and caches the factors, not the Grams.
+each detail Gram once per level, caches the factors, not the Grams, and
+checks the residual of its prolonged answer at the top level.
 The CG ladder forms no detail Gram and no factor: each rung keeps the
 level-``j`` solution ``u_j`` and finds the same ``W_j`` component in nodal
 coordinates, as the correction ``w`` to ``R_j^T u_j`` that solves the
@@ -28,6 +29,7 @@ the two reference triangles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -35,6 +37,12 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import assembly, linalg, mesh, prewavelet, quadrature
+
+
+#: Bound on the direct ladder's relative residual ``||f_L - A_L u_L|| / ||f_L||``
+#: at its top level.  Fixed, not ``tol``: the factored detail solves take no
+#: tolerance, and rounding leaves about 1e-12 at level 8.
+_DIRECT_RESIDUAL = 1e-10
 
 
 @lru_cache(maxsize=None)
@@ -166,18 +174,17 @@ def multilevel_from_load(
     direct ladder from the factored detail Gram, on the CG ladder from the
     correction ``w`` with ``A_{j+1} (R_j^T u_j + w) = f_{j+1}`` to ``tol``.
     Either ladder solves its coarse system to ``tol`` by :func:`_solve`.
+    The factored detail solves take no tolerance, so the direct ladder
+    checks its prolonged answer ``u_L`` instead: RuntimeError if
+    ``||f_L - A_L u_L|| > 1e-10 ||f_L||``, whatever ``tol`` is.  A load that
+    is not the level's interior values raises ValueError (:func:`mesh.nodal`).
     """
     if solver not in ("direct", "cg"):
         raise ValueError(f"solver must be 'direct' or 'cg', got {solver!r}")
     if not (1 <= base_level <= top_level):
         raise ValueError(f"need 1 <= base level <= top level, got {base_level}..{top_level}")
-    fine_load = np.asarray(fine_load, dtype=float)
-    expected = mesh.n_interior(top_level)
-    if fine_load.shape != (expected,):
-        raise ValueError(
-            f"load for level {top_level} must have length {expected}, got {fine_load.shape}"
-        )
-    bad = expected - int(np.count_nonzero(np.isfinite(fine_load)))
+    fine_load = mesh.nodal(top_level, fine_load)
+    bad = fine_load.size - int(np.count_nonzero(np.isfinite(fine_load)))
     if bad:
         raise ValueError(f"load for level {top_level} has {bad} non-finite entries")
     loads = {top_level: fine_load}
@@ -187,14 +194,22 @@ def multilevel_from_load(
     details = []
     u = coarse
     for j in range(base_level, top_level):
+        pu = _prolongation(j) @ u
         if solver == "direct":
             q = prewavelet.wavelet_matrix(j)
             w = q.T @ _gram_factor(j).solve(q @ loads[j + 1])
         else:
-            pu = _prolongation(j) @ u
             w = _solve(j + 1, loads[j + 1] - _stiffness(j + 1).csr @ pu, tol)
-            u = pu + w
+        u = pu + w
         details.append(w)
+    if solver == "direct" and details:
+        r = fine_load - _stiffness(top_level).csr @ u
+        rnorm, fnorm = (math.sqrt(linalg._dot(v, v)) for v in (r, fine_load))
+        if rnorm > _DIRECT_RESIDUAL * fnorm:
+            raise RuntimeError(
+                f"direct ladder missed the level {top_level} system: residual norm "
+                f"{rnorm:.3g} exceeds {_DIRECT_RESIDUAL:.0e} times the load norm {fnorm:.3g}"
+            )
     return MultilevelSolution(base_level, coarse, tuple(details))
 
 
@@ -241,11 +256,8 @@ def _cell_vertices(j: int, coeffs: np.ndarray, rule: quadrature.TriangleRule):
     the nodal values at its three vertices in every cell (three
     ``(2^j, 2^j)`` slices of the zero-bordered node array) and its points.
     ValueError, on the first step, unless ``coeffs`` holds the level's
-    ``(2^j - 1)^2`` interior values."""
-    n = mesh.n_interior(j)
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n,):
-        raise ValueError(f"expected {n} interior values for level {j}, got shape {coeffs.shape}")
+    interior values (:func:`mesh.nodal`)."""
+    coeffs = mesh.nodal(j, coeffs)
     m = 2**j
     nodes = np.zeros((m + 1, m + 1))
     nodes[1:-1, 1:-1] = coeffs.reshape(m - 1, m - 1)
@@ -287,14 +299,13 @@ def l2_error(j: int, coeffs: np.ndarray, u) -> float:
 def export_solution_csv(f, j: int, coeffs: np.ndarray) -> None:
     """Write nodal coefficients to the text stream ``f`` as CSV.
 
-    One row ``level,i,k,x,y,value`` per interior vertex.
+    One row ``level,i,k,x,y,value`` per interior vertex, in
+    :func:`mesh.ordinal` order; ValueError unless ``coeffs`` holds the
+    level's interior values (:func:`mesh.nodal`).
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    n = 2**j - 1
-    if coeffs.shape != (n * n,):
-        raise ValueError(f"expected {n * n} values for level {j}, got shape {coeffs.shape}")
+    coeffs = mesh.nodal(j, coeffs)
     # the bytes of csv.writer's default dialect, written in one call
-    axis = [(i, repr(i / 2**j)) for i in range(1, n + 1)]
+    axis = [(i, repr(i / 2**j)) for i in range(1, 2**j)]
     vertices = ((i, x, k, y) for k, y in axis for i, x in axis)  # row-major
     f.write("level,i,k,x,y,value\r\n")
     f.writelines(

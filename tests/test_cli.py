@@ -26,7 +26,7 @@ def test_solve_writes_csv(tmp_path, capsys):
          "--out", str(out)]
     )
     assert code == 0
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(out.read_text().splitlines()))
     assert rows[0] == ["level", "i", "k", "x", "y", "value"]
     assert len(rows) == 1 + mesh.n_interior(4)
     assert "h1 error" in capsys.readouterr().out
@@ -40,7 +40,7 @@ def test_solve_methods_agree(tmp_path):
             ["solve", "--level", "3", "--problem", "poly", "--method", method,
              "--out", str(path)]
         ) == 0
-        rows = list(csv.reader(path.open()))[1:]
+        rows = list(csv.reader(path.read_text().splitlines()))[1:]
         outs[method] = np.array([float(r[5]) for r in rows])
     np.testing.assert_allclose(outs["fem"], outs["prewavelet"], rtol=1e-9)
 
@@ -85,7 +85,7 @@ def test_solve_fem_writes_the_values_of_fem_solve(method, tmp_path):
     out = tmp_path / "fem.csv"
     assert cli.main(["solve", "--level", "4", "--problem", "exp", "--method", "fem",
                      "--solver", method, "--out", str(out)]) == 0
-    got = np.array([float(r["value"]) for r in csv.DictReader(out.open())])
+    got = np.array([float(r["value"]) for r in csv.DictReader(out.read_text().splitlines())])
     want = solver.fem_solve(4, bench.builtin_problems()["exp"].g, solver=method, tol=1e-10)
     assert np.array_equal(got, want)
 
@@ -114,7 +114,7 @@ def test_solve_problem_file_with_corners(tmp_path):
     out = tmp_path / "shifted.csv"
     assert cli.main(["solve", "--level", "3", "--problem", str(path),
                      "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     got = np.array([float(r[5]) for r in rows])
     g = bench.builtin_problems()["poly"].g
     plain = solver.fem_solve(3, g)
@@ -129,7 +129,7 @@ def test_solve_problem_file_with_tabulated_rhs(tmp_path):
     out = tmp_path / "tab.csv"
     assert cli.main(["solve", "--level", "2", "--problem", str(path),
                      "--out", str(out)]) == 0
-    rows = list(csv.reader(out.open()))[1:]
+    rows = list(csv.reader(out.read_text().splitlines()))[1:]
     got = np.array([float(r[5]) for r in rows])
     plain = solver.fem_solve(2, lambda x, y: np.ones_like(x))
     np.testing.assert_allclose(got, plain, rtol=1e-12)
@@ -235,7 +235,7 @@ def test_solve_loads_a_huge_checkerboard_to_zero(tmp_path):
     code = cli.main(["solve", "--level", "2", "--problem", str(path), "--method", "fem",
                      "--solver", "cg", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = list(csv.DictReader(out.read_text().splitlines()))
     assert len(rows) == mesh.n_interior(2)
     assert all(float(r["value"]) == 0.0 for r in rows)
 
@@ -322,10 +322,27 @@ def test_verify_perturbation_is_caught(monkeypatch, capsys):
         assert f"FAIL {check} j=" in out
 
 
-def test_bench_exits_one_when_the_ladder_leaves_fem(monkeypatch, capsys):
-    # a corrupted detail basis still gives an SPD Gram, so every solve
-    # succeeds; only the agreement with FEM can catch it
+def test_bench_refuses_a_corrupted_detail_basis(monkeypatch, capsys):
+    # a corrupted detail basis still gives an SPD Gram, so every factor
+    # succeeds; the direct ladder's residual check refuses its answer, and the
+    # row is a failed solve
     _corrupt_wavelet_matrix(monkeypatch)
+    try:
+        assert cli.main(["bench", "--levels", "3", "--problems", "sine"]) == 3
+    finally:
+        oracle.clear_caches()
+    captured = capsys.readouterr()
+    (record,) = list(csv.DictReader(captured.out.splitlines()))
+    assert np.isnan(float(record["ladder_vs_fem"]))
+    assert "some combinations failed" in captured.err
+
+
+def test_bench_exits_one_when_the_ladder_leaves_fem(monkeypatch, capsys):
+    # the agreement with FEM is the gate behind the ladder's own residual
+    # check: with that check switched off, a corrupted detail basis gives an
+    # answer, and only the agreement with FEM can catch it
+    _corrupt_wavelet_matrix(monkeypatch)
+    monkeypatch.setattr(solver, "_DIRECT_RESIDUAL", np.inf)
     try:
         assert cli.main(["bench", "--levels", "3", "--problems", "sine"]) == 1
     finally:

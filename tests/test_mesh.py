@@ -11,11 +11,58 @@ import numpy as np
 import pytest
 
 import oracle
-from prewavelet_poisson import mesh
+from prewavelet_poisson import assembly, bench, mesh, prewavelet, quadrature
 
 
 def test_interior_counts():
     assert [mesh.n_interior(j) for j in range(1, 6)] == [1, 9, 49, 225, 961]
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        mesh.n_interior,
+        mesh.triangle_vertex_array,
+        lambda j: mesh.nodal(j, []),
+        assembly.refinement_matrix,
+        assembly.stiffness_matrix,
+        assembly.cross_level_gram,
+        prewavelet.wavelet_matrix,
+        lambda j: prewavelet.dimension_check(j, 1),
+        lambda j: quadrature.load_vector(j, lambda x, y: x),
+        lambda j: bench.run_benchmark([bench.builtin_problems()["poly"]], (j, 2)),
+    ),
+    ids=(
+        "n_interior", "triangle_vertex_array", "nodal", "refinement_matrix",
+        "stiffness_matrix", "cross_level_gram", "wavelet_matrix", "dimension_check",
+        "load_vector", "run_benchmark",
+    ),
+)
+@pytest.mark.parametrize("j", (0, -1))
+def test_every_level_is_checked_by_n_interior(call, j):
+    # one level check for the package: a level below 1 gets its message,
+    # before any other argument is looked at
+    with pytest.raises(ValueError, match=f"^level must be >= 1, got {j}$"):
+        call(j)
+
+
+def test_nodal_checks_the_length_and_returns_floats():
+    values = mesh.nodal(2, range(9))
+    assert values.dtype == float and values.tolist() == list(range(9))
+    for bad in (np.zeros(8), np.zeros((3, 3)), np.zeros(10)):
+        with pytest.raises(ValueError, match="^expected 9 interior values for level 2, got shape"):
+            mesh.nodal(2, bad)
+
+
+def test_ordinal_matches_the_oracle_on_arrays():
+    for j in (1, 2, 5):
+        k, i = np.meshgrid(np.arange(1, 2**j), np.arange(1, 2**j), indexing="ij")
+        got = mesh.ordinal(j, i, k)
+        assert np.array_equal(got, oracle.ordinal(j, i, k))
+        assert np.array_equal(got.ravel(), np.arange(mesh.n_interior(j)))  # row-major
+        # broadcasting a row of i against a column of k gives the same grid
+        assert np.array_equal(mesh.ordinal(j, i[0], k[:, :1]), got)
+    assert mesh.ordinal(3, 7, 7) == oracle.ordinal(3, 7, 7) == 48
 
 
 def test_triangle_counts_and_areas():

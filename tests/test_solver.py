@@ -520,6 +520,39 @@ def test_cg_ladder_and_cg_fem_build_no_factor(monkeypatch):
     assert built == [(n, n) for n in details]
 
 
+@pytest.mark.parametrize("top", (2, 5))
+def test_direct_ladder_refuses_a_wrong_detail_solve(monkeypatch, top):
+    # the detail Gram solves take no tolerance: a factor whose solves are off
+    # by one part in a million leaves a top-level residual far above 1e-10,
+    # and the direct ladder says so instead of handing the answer back
+    oracle.clear_caches()
+    exact = solver._gram_factor
+
+    class Perturbed:
+        def __init__(self, j):
+            self.factor = exact(j)
+
+        def solve(self, b):
+            return self.factor.solve(b) * (1.0 + 1e-6)
+
+    monkeypatch.setattr(solver, "_gram_factor", Perturbed)
+    load = quadrature.load_vector(top, bench.builtin_problems()["sine"].g)
+    with pytest.raises(RuntimeError, match=f"direct ladder missed the level {top} system"):
+        solver.multilevel_from_load(top, load)
+    # the CG ladder and FEM never solve with a detail Gram factor
+    solver.multilevel_from_load(top, load, solver="cg")
+    solver.multilevel_from_load(top, load, base_level=top)
+
+
+def test_direct_ladder_check_passes_any_tol_and_a_zero_load():
+    # the bound is 1e-10 whatever tol the coarse solve takes, and a zero load,
+    # whose answer is exactly zero, passes it without dividing by its norm
+    g = bench.builtin_problems()["exp"].g
+    for tol in (1e-2, 1e-12):
+        solver.multilevel_solve(6, g, tol=tol)
+    assert not solver.multilevel_from_load(4, np.zeros(mesh.n_interior(4))).prolong().any()
+
+
 def test_export_solution_csv():
     j = 2
     coeffs = np.arange(9, dtype=float) / 7.0
@@ -571,21 +604,28 @@ def _zero(x, y):
     (
         (lambda: solver.multilevel_from_load(2, np.ones(9), base_level=3), "base level"),
         (lambda: solver.multilevel_from_load(2, np.ones(9), base_level=0), "base level"),
-        (lambda: solver.multilevel_from_load(2, np.ones(8)), "length 9"),
+        (lambda: solver.multilevel_from_load(2, np.ones(8)), "9 interior values"),
         (lambda: solver.multilevel_from_load(2, np.r_[np.nan, np.ones(8)]), "1 non-finite"),
         (lambda: solver.multilevel_from_load(2, np.ones(9), base_level=2).prolong(1), "level"),
         (lambda: solver.multilevel_from_load(2, np.ones(9)).prolong(3), "level"),
-        (lambda: solver.export_solution_csv(io.StringIO(), 2, np.ones(8)), "9 values"),
+        (lambda: solver.export_solution_csv(io.StringIO(), 2, np.ones(8)), "9 interior values"),
         (lambda: reconstruct(2, np.ones(8), lambda x, y: x), "9 interior"),
         (lambda: solver.h1_error(3, np.zeros(10), _zero, _zero), "49 interior values for level 3"),
         (lambda: solver.l2_error(3, np.zeros(10), _zero), "49 interior values for level 3"),
         (lambda: solver.h1_error(0, np.zeros(10), _zero, _zero), "level must be >= 1"),
         (lambda: solver.l2_error(0, np.zeros(10), _zero), "level must be >= 1"),
+        # an empty vector is not the (2^0 - 1)^2 = 0 values of a level 0
+        (lambda: solver.export_solution_csv(io.StringIO(), 0, []), "level must be >= 1, got 0"),
+        (lambda: solver.export_solution_csv(io.StringIO(), -1, []), "level must be >= 1, got -1"),
+        (lambda: reconstruct(0, [], lambda x, y: x), "level must be >= 1, got 0"),
+        (lambda: reconstruct(-1, [], lambda x, y: x), "level must be >= 1, got -1"),
     ),
     ids=(
         "base-above-top", "base-zero", "load-length", "load-non-finite",
         "prolong-below-base", "prolong-above-top", "export-length", "reconstruct-length",
         "h1-length", "l2-length", "h1-level-zero", "l2-level-zero",
+        "export-level-zero", "export-level-negative", "reconstruct-level-zero",
+        "reconstruct-level-negative",
     ),
 )
 def test_input_checks_raise_value_error(call, message):
